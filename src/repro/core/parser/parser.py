@@ -66,6 +66,20 @@ _BINARY_LEVELS: List[Tuple[str, ...]] = [
 
 
 class _Parser:
+    """One frame per precedence level, and a fixed set of calls on the
+    way down a nesting: together they decide where too-deep input
+    meets the interpreter's recursion limit (about 110 nested
+    parentheses at the default limit) and which ``RecursionError``
+    message it gets, since the message names whichever check trips
+    first — a frame, a call to ``min``, a comparison.  So each method's
+    first token read goes through the plumbing below, calls and all.
+    A later read in the same method follows a call that went at least
+    as deep (a sub-parse, ``_peek``, ``_expect``, ``_match``), so it
+    cannot be the first to reach a depth: it indexes the token list
+    directly or uses ``_take``, which changes nothing but the time
+    taken.
+    """
+
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
@@ -99,6 +113,16 @@ class _Parser:
             return True
         return False
 
+    def _take(self, kind: str, text: str) -> bool:
+        """``_match`` for a read that follows a deeper call in the same
+        method (see the class docstring); ``_take(...) or _expect(...)``
+        leaves the error path to ``_expect``."""
+        tok = self._tokens[self._pos]
+        if tok.kind == kind and tok.text == text:
+            self._pos += 1
+            return True
+        return False
+
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -109,18 +133,21 @@ class _Parser:
             return self._parse_unary()
         ops = _BINARY_LEVELS[level]
         left = self._parse_binary(level + 1)
-        while self._peek().kind == "OP" and self._peek().text in ops:
-            op = self._next().text
+        tok = self._tokens[self._pos]
+        while tok.kind == "OP" and tok.text in ops:
+            self._pos += 1
+            op = tok.text
             if op == "=":
                 op = "=="
             right = self._parse_binary(level + 1)
             left = Binary(op, left, right)
+            tok = self._tokens[self._pos]
         return left
 
     def _parse_unary(self) -> Expr:
         tok = self._peek()
         if tok.kind == "OP" and tok.text in ("!", "-"):
-            self._next()
+            self._pos += 1
             operand = self._parse_unary()
             # Fold negated numeric literals so `-0.5` round-trips as
             # the constant the builder DSL produces.
@@ -136,18 +163,18 @@ class _Parser:
     def _parse_atom(self) -> Expr:
         tok = self._peek()
         if tok.kind == "OP" and tok.text == "(":
-            self._next()
+            self._pos += 1
             expr = self.parse_expr()
-            self._expect("OP", ")")
+            self._take("OP", ")") or self._expect("OP", ")")
             return expr
         if tok.kind == "INT":
-            self._next()
+            self._pos += 1
             return Const(int(tok.text))
         if tok.kind == "FLOAT":
-            self._next()
+            self._pos += 1
             return Const(float(tok.text))
         if tok.kind == "KEYWORD" and tok.text in ("true", "false"):
-            self._next()
+            self._pos += 1
             return Const(tok.text == "true")
         if tok.kind == "IDENT":
             # ``tuple(E1, ..., En)`` — the factorisation pass's joint
@@ -163,23 +190,30 @@ class _Parser:
                 elements: List[Expr] = []
                 if not (self._peek().kind == "OP" and self._peek().text == ")"):
                     elements.append(self.parse_expr())
-                    while self._match("OP", ","):
+                    tok = self._tokens[self._pos]
+                    while tok.kind == "OP" and tok.text == ",":
+                        self._pos += 1
                         elements.append(self.parse_expr())
+                        tok = self._tokens[self._pos]
                 self._expect("OP", ")")
                 return TupleExpr(tuple(elements))
-            self._next()
+            self._pos += 1
             return Var(tok.text)
         raise self._error("expected an expression")
 
     def _parse_dist_call(self) -> DistCall:
         name = self._expect("IDENT").text
-        self._expect("OP", "(")
+        self._take("OP", "(") or self._expect("OP", "(")
         args: List[Expr] = []
-        if not (self._peek().kind == "OP" and self._peek().text == ")"):
+        tok = self._tokens[self._pos]
+        if not (tok.kind == "OP" and tok.text == ")"):
             args.append(self.parse_expr())
-            while self._match("OP", ","):
+            tok = self._tokens[self._pos]
+            while tok.kind == "OP" and tok.text == ",":
+                self._pos += 1
                 args.append(self.parse_expr())
-        self._expect("OP", ")")
+                tok = self._tokens[self._pos]
+        self._take("OP", ")") or self._expect("OP", ")")
         return DistCall(name, tuple(args))
 
     # -- statements -----------------------------------------------------------
@@ -187,10 +221,12 @@ class _Parser:
     def parse_block(self) -> Stmt:
         if self._match("OP", "{"):
             stmts: List[Stmt] = []
-            while not (self._peek().kind == "OP" and self._peek().text == "}"):
-                if self._peek().kind == "EOF":
+            tok = self._tokens[self._pos]
+            while not (tok.kind == "OP" and tok.text == "}"):
+                if tok.kind == "EOF":
                     raise self._error("unterminated block, expected '}'")
                 stmts.append(self.parse_statement())
+                tok = self._tokens[self._pos]
             self._expect("OP", "}")
             return seq(*stmts)
         return self.parse_statement()
@@ -219,14 +255,15 @@ class _Parser:
                 return self._parse_while()
             raise self._error("unexpected keyword")
         if tok.kind == "IDENT":
-            name = self._next().text
+            name = tok.text
+            self._pos += 1
             if self._match("OP", "="):
                 expr = self.parse_expr()
-                self._expect("OP", ";")
+                self._take("OP", ";") or self._expect("OP", ";")
                 return Assign(name, expr)
-            if self._match("OP", "~"):
+            if self._take("OP", "~"):
                 dcall = self._parse_dist_call()
-                self._expect("OP", ";")
+                self._take("OP", ";") or self._expect("OP", ";")
                 return Sample(name, dcall)
             raise self._error("expected '=' or '~' after identifier")
         raise self._error("expected a statement")
@@ -253,14 +290,14 @@ class _Parser:
             and after.text == "("
         ):
             dcall = self._parse_dist_call()
-            self._expect("OP", ",")
+            self._take("OP", ",") or self._expect("OP", ",")
             value = self.parse_expr()
-            self._expect("OP", ")")
-            self._expect("OP", ";")
+            self._take("OP", ")") or self._expect("OP", ")")
+            self._take("OP", ";") or self._expect("OP", ";")
             return ObserveSample(dcall, value)
         cond = self.parse_expr()
-        self._expect("OP", ")")
-        self._expect("OP", ";")
+        self._take("OP", ")") or self._expect("OP", ")")
+        self._take("OP", ";") or self._expect("OP", ";")
         return Observe(cond)
 
     def _parse_if(self) -> Stmt:

@@ -21,11 +21,15 @@ token numbering is consistent across every consumer of the IR.
 
 ``lower`` is memoized by object identity: the pipeline lowers a
 program once and the dependence analysis, the slicer, liveness, and
-the compiled executor all share the result.
+the compiled executor all share the result.  The memo keeps the
+:data:`_LOWER_CACHE_MAX` most recently used lowerings, so a
+long-running process does not keep every program it ever lowered
+alive.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -187,10 +191,16 @@ class _Lowerer:
         return Leaf(stmt, node), block
 
 
-#: Identity-keyed lowering cache.  Strong references to the source keep
-#: ``id`` values from being reused while an entry is alive.
-_LOWER_CACHE: Dict[int, Tuple[object, Lowered]] = {}
-_LOWER_CACHE_MAX = 4096
+#: Identity-keyed lowering cache, least recently used first.  Strong
+#: references to the source keep ``id`` values from being reused while
+#: an entry is alive.
+_LOWER_CACHE: "OrderedDict[int, Tuple[object, Lowered]]" = OrderedDict()
+#: Enough for the exact engine's working set on the enumerable Table-1
+#: models (it lowers each statement it asks liveness about: 42 on the
+#: unsliced BurglarAlarm), while a process that slices a stream of
+#: programs keeps at most this many lowerings alive (a cold slice and
+#: compile adds two).
+_LOWER_CACHE_MAX = 64
 
 
 def clear_lower_cache() -> None:
@@ -208,6 +218,12 @@ def lower(source: Union[Program, Stmt]) -> Lowered:
     key = id(source)
     hit = _LOWER_CACHE.get(key)
     if hit is not None and hit[0] is source:
+        # Each OrderedDict call is atomic, but serve jobs lower on
+        # worker threads: another one may evict the entry in between.
+        try:
+            _LOWER_CACHE.move_to_end(key)
+        except KeyError:
+            pass
         return hit[1]
     from ..obs.recorder import current_recorder
 
@@ -221,9 +237,12 @@ def lower(source: Union[Program, Stmt]) -> Lowered:
         lo.cfg.seal(exit_block)
         result = Lowered(lo.cfg, root, source, ret, lo.tokens)
         sp.set(n_nodes=len(lo.cfg.nodes), n_blocks=len(lo.cfg.blocks))
-    if len(_LOWER_CACHE) >= _LOWER_CACHE_MAX:
-        _LOWER_CACHE.clear()
     _LOWER_CACHE[key] = (source, result)
+    try:
+        while len(_LOWER_CACHE) > _LOWER_CACHE_MAX:
+            _LOWER_CACHE.popitem(last=False)
+    except KeyError:  # another thread emptied it first
+        pass
     return result
 
 

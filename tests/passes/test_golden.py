@@ -8,6 +8,7 @@ a diff is either a deliberate output change (regenerate and review) or
 a regression.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -62,3 +63,26 @@ def test_one_lowering_per_sli_run(name):
         sli(program)
     assert rec.counters["passes.analysis.computed.lowered"] == 1
     assert rec.counters.get("passes.analysis.reused.lowered", 0) >= 1
+
+
+#: sha256 of ``pretty(sli(p, slicer="ab").sliced)`` on the paper-scale
+#: programs, recorded before reaching definitions went block-level.  At
+#: this scale the AB slicer's cost was quadratic; its output must not
+#: have moved with the speed-up.
+PAPER_AB_SHA256 = {
+    "Chess": "74a636a896155a9b0fee007ff2ab5d3f1a1cf9b43fd20235702f7195dbb2e58e",
+    "Halo": "05e2856c245dda1794276d41c158b4445972f6134ce4d2631ea62c29c745f956",
+}
+
+
+def _paper_ab_sha256(name):
+    sliced = sli(SPECS[name].paper(), slicer="ab").sliced
+    return hashlib.sha256(pretty(sliced).encode()).hexdigest()
+
+
+def test_paper_scale_chess_ab_slice_is_pinned():
+    assert _paper_ab_sha256("Chess") == PAPER_AB_SHA256["Chess"]
+
+
+def test_paper_scale_halo_ab_slice_is_pinned():
+    assert _paper_ab_sha256("Halo") == PAPER_AB_SHA256["Halo"]
