@@ -8,7 +8,7 @@ trace replay reproduces the scalar run bit-for-bit.
 
 The headline claim checked at the end: at batch 1000 the numpy backend
 is >= 5x faster than the closure backend on at least four Table 1
-benchmarks (the ``BENCH_pr7.json`` acceptance line).
+benchmarks.
 """
 
 import random

@@ -1,7 +1,5 @@
 """Benchmark harness: engine runners, speedup measurement, reports."""
 
-from .bench_factored import collect_factored_report, write_factored_json
-from .bench_json import collect_bench_report, write_bench_json
 from .report import format_convergence_table, format_speedup_table, format_table
 from .sweep import SweepPoint, format_sweep, sweep_speedup
 from .runner import (
@@ -13,10 +11,6 @@ from .runner import (
 )
 
 __all__ = [
-    "collect_bench_report",
-    "write_bench_json",
-    "collect_factored_report",
-    "write_factored_json",
     "format_convergence_table",
     "format_speedup_table",
     "format_table",

@@ -12,11 +12,10 @@ best case for shard-by-factor inference: a monolithic rejection run
 accepts with probability ``accept**k`` (exponentially small in ``k``),
 while the factored run pays ``accept`` per factor independently, so
 factored throughput is expected to beat monolithic for every ``k >= 2``
-— which is exactly what ``BENCH_pr6.json`` measures.
+— which ``benchmarks/bench_factored.py`` asserts.
 
 Not part of :data:`repro.models.registry.TABLE1` (it is not a paper
-benchmark); the factored-inference bench harness and the qa campaign
-use it directly.
+benchmark); that bench and the qa campaign use it directly.
 """
 
 from __future__ import annotations

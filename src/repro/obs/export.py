@@ -6,7 +6,7 @@ Two wire formats plus a human summary:
   ``counter``, ``gauge``, ``histogram``, ``progress`` records; spans
   are flattened depth-first with ``id``/``parent`` links).  The line
   schema is checked in at ``src/repro/obs/trace_schema.json`` and
-  enforced by :mod:`repro.obs.validate` (CI's ``obs-smoke`` job).
+  enforced by :mod:`repro.obs.validate` (CI runs it on a traced CLI run).
 * :func:`write_chrome_trace` — the Chrome trace-event JSON array
   (``chrome://tracing`` / https://ui.perfetto.dev): complete events
   (``ph: "X"``) with microsecond timestamps; spans merged from a

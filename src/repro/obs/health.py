@@ -1,7 +1,8 @@
 """Inference-health monitors over the live snapshot stream.
 
-BENCH_pr3 showed why raw samples/sec is not the whole story: sliced
-BayesianLinearRegression runs 9.5x faster but its MH acceptance
+The compiled-MH snapshot ``BENCH_pr3.json`` (last in the tree at
+commit ``e4048bf``) showed why raw samples/sec is not the whole story:
+sliced BayesianLinearRegression runs 9.5x faster but its MH acceptance
 collapses from 0.928 to 0.206, so much of that speed buys correlated
 samples.  The monitors here watch the :class:`~repro.obs.live.Snapshot`
 stream *during* a run and turn pathologies into structured

@@ -11,9 +11,9 @@ against ``trace_schema.json``; ``--schema snapshot`` validates
 ``--stream-metrics`` NDJSON streams against ``snapshot_schema.json``.
 
 Exit status 0 when every line of every file validates, 1 otherwise.
-Requires the ``jsonschema`` package (a dev dependency — CI's
-``obs-smoke``/``health-smoke`` jobs install it); a clear error is
-printed when it is missing rather than an ImportError traceback.
+Requires the ``jsonschema`` package (a test dependency, installed by
+the ``test`` extra); a clear error is printed when it is missing rather
+than an ImportError traceback.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ Caching is observable: every analysis request bumps
 ``passes.analysis.computed.<name>`` (a real computation ran) or
 ``passes.analysis.reused.<name>`` (the cache served it) on the ambient
 recorder, and the same counts live on :attr:`PassContext.computed` /
-:attr:`PassContext.reused` for recorder-less assertions.  The pipeline
-smoke test (and the ``passes-smoke`` CI job) pins
+:attr:`PassContext.reused` for recorder-less assertions.  The golden
+tests (and a verified CLI run in CI) pin
 ``passes.analysis.computed.lowered == 1`` for a default ``sli`` run —
 the "lower once, share everywhere" guarantee the shared IR exists for.
 

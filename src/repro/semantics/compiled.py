@@ -22,8 +22,8 @@ What the compilation buys: per-node interpretive dispatch (isinstance
 chains, state-dict reads and writes, recursive calls) becomes native
 Python locals and jumps, and distribution objects with constant
 parameters are constructed once at compile time instead of once per
-visit.  ``benchmarks/bench_compiled_executor.py`` measures the
-resulting speedup on the Table 1 models.
+visit.  The benchmark's ``warm-sample`` workload (``perfbench/``)
+measures the closure backend under MH and SMC on the Table 1 models.
 
 A generator variant (:class:`CompiledRun`) yields at conditioning
 barriers with the same protocol as the SMC interpreter's ``_Run``, so

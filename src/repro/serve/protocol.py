@@ -156,6 +156,11 @@ def validate_request(payload: Any) -> JobSpec:
             program = parse(source)
         except ProbSyntaxError as exc:
             raise ProtocolError("program", f"syntax error: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # The parser can still fail outside its own error type: a
+            # non-ASCII digit reaches int(), and deep nesting exhausts
+            # the stack.  Either way the request is at fault.
+            raise ProtocolError("program", f"cannot parse: {exc}")
     else:
         if not isinstance(bench_name, str):
             raise ProtocolError("benchmark", "expected a benchmark name")

@@ -13,7 +13,9 @@ from repro.inference.mh import MetropolisHastings
 from repro.inference.rejection import RejectionSampler
 from repro.inference.smc import SMCSampler
 from repro.inference.tracemh import ChurchTraceMH
+from repro.models.registry import TABLE1
 from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.transforms import sli
 
 # A bounded-loop conjugate-ish model: vectorizable, non-trivial posterior.
 _MODEL = parse(
@@ -173,6 +175,23 @@ class TestFallback:
             engine.infer(_DISCRETE)
         assert recorder.counters.get(f"vectorized.used.{engine.name}") == 1
         assert f"vectorized.fallback.{engine.name}" not in recorder.counters
+
+    def test_every_table1_program_vectorizes(self):
+        """Likelihood weighting takes the array backend on every Table-1
+        program, original and sliced, with no fallback of any kind."""
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            for spec in TABLE1:
+                for program in (spec.bench(), sli(spec.bench()).sliced):
+                    engine = LikelihoodWeighting(n_samples=100, seed=0, compiled="numpy")
+                    try:
+                        engine.infer(program)
+                    except InferenceError:
+                        pass  # zero LW mass (TrueSkill) still vectorized
+        used = recorder.counters.get("vectorized.used.likelihood-weighting", 0)
+        assert used == 2 * len(TABLE1), recorder.counters
+        fallbacks = [k for k in recorder.counters if k.startswith("vectorized.fallback.")]
+        assert not fallbacks, fallbacks
 
     def test_compiled_true_never_vectorizes(self):
         recorder = TraceRecorder()

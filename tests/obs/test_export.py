@@ -3,6 +3,7 @@ text summary."""
 
 import json
 
+import jsonschema
 import pytest
 
 from repro.obs import (
@@ -16,8 +17,6 @@ from repro.obs import (
 )
 from repro.obs.progress import ProgressLine
 from repro.obs.validate import load_schema, validate_jsonl
-
-jsonschema = pytest.importorskip("jsonschema")
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ BayesianLinearRegression collapses, Ex3 stays clean)."""
 import pytest
 
 from repro.inference import MetropolisHastings
+from repro.models import TABLE1
 from repro.models import benchmark as lookup
 from repro.obs import SnapshotRecorder, use_recorder
 from repro.obs.health import (
@@ -312,3 +313,16 @@ class TestRealPrograms:
         report = self._run(sli(program).sliced)
         assert report.clean, [w.to_dict() for w in report.warnings]
         assert report.info.get("ess", 0) > 0
+
+    def test_table1_flags_only_sliced_blr(self):
+        """The suite-level verdict over all 16 (model, original or
+        sliced) cells: exactly one flagged entry, for one reason."""
+        reports = {}
+        for spec in TABLE1:
+            program = spec.bench()
+            for side, target in (("original", program), ("sliced", sli(program).sliced)):
+                reports[spec.name, side] = self._run(target, n=400)
+        flagged = [cell for cell, report in reports.items() if not report.clean]
+        assert flagged == [("BayesianLinearRegression", "sliced")], flagged
+        kinds = {w.kind for report in reports.values() for w in report.warnings}
+        assert kinds == {"acceptance-collapse"}, kinds

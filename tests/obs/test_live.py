@@ -143,7 +143,6 @@ class TestSnapshotWire:
         }
 
     def test_ndjson_validates_against_schema(self, tmp_path):
-        pytest.importorskip("jsonschema")
         from repro.obs.validate import validate_jsonl
 
         path = tmp_path / "snap.ndjson"
@@ -156,7 +155,6 @@ class TestSnapshotWire:
         assert validate_jsonl(str(path), schema="snapshot") == []
 
     def test_validate_rejects_garbage(self, tmp_path):
-        pytest.importorskip("jsonschema")
         from repro.obs.validate import validate_jsonl
 
         path = tmp_path / "bad.ndjson"

@@ -52,17 +52,29 @@ def test_golden_output(name, tag):
     assert pretty(SLICERS[tag](program)) == expected
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_one_lowering_per_sli_run(name):
-    # The analysis cache must prove its keep: the default SLI pipeline
+#: The pass whose seeded-equivalence check each slicer's pipeline ends with.
+SLICE_PASS = {"svf": "slice", "ab": "cfgslice"}
+
+
+@pytest.mark.parametrize(
+    "name, slicer",
+    # The default slicer's cells keep the bare benchmark name as id.
+    [pytest.param(name, "svf", id=name) for name in sorted(SPECS)]
+    + [pytest.param(name, "ab", id=f"{name}-ab") for name in sorted(SPECS)],
+)
+def test_one_lowering_per_sli_run(name, slicer):
+    # The analysis cache must prove its keep: either slicer's pipeline
     # lowers the program to a CFG exactly once (slice + dependence
-    # analysis + influencer closure all share the cached Lowered).
+    # analysis + influencer closure all share the cached Lowered), and
+    # verification as the CLI's --verify-each runs it checks the final
+    # slice against the original.
     program = SPECS[name].bench()
     rec = TraceRecorder()
     with use_recorder(rec):
-        sli(program)
+        sli(program, slicer=slicer, verify=True, spot_check_seeds=(0, 1, 2))
     assert rec.counters["passes.analysis.computed.lowered"] == 1
     assert rec.counters.get("passes.analysis.reused.lowered", 0) >= 1
+    assert rec.counters[f"passes.verified.{SLICE_PASS[slicer]}"] == 1
 
 
 #: sha256 of ``pretty(sli(p, slicer="ab").sliced)`` on the paper-scale

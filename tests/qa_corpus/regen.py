@@ -5,8 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/qa_corpus/regen.py
 
 The corpus has two kinds of entries, both replayed through the full
-oracle stack by ``tests/qa/test_corpus.py`` (and by the CI ``qa-smoke``
-job via ``python -m repro.qa replay tests/qa_corpus``):
+oracle stack by ``tests/qa/test_corpus.py`` (and in CI by
+``python -m repro.qa replay tests/qa_corpus``):
 
 * **Benchmark programs** — the finite/discrete Table-1 models and the
   paper's worked examples, emitted from :mod:`repro.models` so the

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import jsonschema
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 from repro.serve.protocol import load_schema
 from repro.serve.scheduler import Scheduler
 
 from .conftest import payload
+
+
+def nested(depth):
+    return f"int x; x = {'(' * depth}1{')' * depth}; return x;"
 
 
 class TestSubmit:
@@ -36,6 +39,20 @@ class TestSubmit:
         response = client.submit(payload(engine="hmc"))
         assert response.status == 400
         assert response.data["field"] == "engine"
+
+    @pytest.mark.parametrize(
+        "source",
+        # A non-ASCII digit reaches int(); deep nesting exhausts the stack.
+        ["x = ²; return x;", nested(110)],
+        ids=["non-ascii-digit", "nested-110"],
+    )
+    def test_parse_failure_is_400(self, client, source):
+        response = client.submit(payload(program=source))
+        assert response.status == 400
+        assert response.data["field"] == "program"
+
+    def test_nesting_100_deep_is_accepted(self, client):
+        assert client.submit(payload(program=nested(100))).status == 202
 
     def test_payload_too_large_is_413(self, client):
         response = client.post("/v1/jobs", body=b"x" * (2 << 20))

@@ -8,9 +8,8 @@ import http.client
 import json
 import threading
 
+import jsonschema
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 from repro.obs.validate import load_schema as load_obs_schema
 from repro.runtime.cache import ProgramCache
@@ -19,6 +18,42 @@ from repro.serve.runner import LocalRunner
 from repro.serve.testing import ServeTestClient
 
 from .conftest import payload
+
+
+def http_json(port: int, method: str, path: str, body=None):
+    """One JSON request over a fresh connection; a 4xx/5xx fails."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request(
+            method, path, body=None if body is None else json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        out = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status < 400, (response.status, out)
+    return out
+
+
+def sse_frames(port: int, path: str):
+    """Yield ``(event, data)`` for each frame of an SSE stream until the
+    server closes it or the caller stops iterating."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "text/event-stream"
+        kind = None
+        for line in response.fp:
+            text = line.decode().rstrip("\n")
+            if text.startswith("event: "):
+                kind = text[len("event: "):]
+            elif text.startswith("data: "):
+                yield kind, json.loads(text[len("data: "):])
+    finally:
+        conn.close()
 
 
 def make_app(workers: int = 1, **kw) -> ServeApp:
@@ -157,7 +192,11 @@ class TestRealSocket:
 
     @pytest.fixture
     def server(self):
-        app = make_app(workers=2)
+        # Admission limits high enough that no submission is refused.
+        app = make_app(
+            workers=2, tenant_rate=1000, tenant_burst=1000,
+            tenant_max_inflight=1000,
+        )
         info = {}
         ready = threading.Event()
 
@@ -202,35 +241,51 @@ class TestRealSocket:
         # Follow the SSE stream to the terminal status frame: this is
         # event-driven (the server holds the connection open), so the
         # test never polls or sleeps.
-        stream = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        stream.request("GET", job["events_url"])
-        sse = stream.getresponse()
-        assert sse.status == 200
-        assert sse.getheader("Content-Type") == "text/event-stream"
-        final = None
-        current_kind = None
-        while True:
-            line = sse.fp.readline()
-            if not line:
-                break
-            text = line.decode().rstrip("\n")
-            if text.startswith("event: "):
-                current_kind = text[len("event: "):]
-            elif text.startswith("data: ") and current_kind == "status":
-                data = json.loads(text[len("data: "):])
-                if data["status"] in ("done", "failed"):
-                    final = data
-                    break
-        stream.close()
+        final = next(
+            (
+                data for kind, data in sse_frames(port, job["events_url"])
+                if kind == "status" and data["status"] in ("done", "failed")
+            ),
+            None,
+        )
         assert final is not None
         assert final["status"] == "done"
         assert final["result"]["samples"] == 100
+        assert http_json(port, "GET", f"/v1/jobs/{job['id']}")["status"] == "done"
 
-        poll = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        poll.request("GET", f"/v1/jobs/{job['id']}")
-        polled = json.loads(poll.getresponse().read())
-        assert polled["status"] == "done"
-        poll.close()
+    def test_mixed_tenant_load_hits_cache_with_valid_snapshots(self, server):
+        """A seeded 10-request load from four tenants: even requests
+        share one program (warm), odd ones each submit a distinct
+        fingerprint (cold).  Every job finishes, the shared program is
+        served from the cache, and a streamed SSE snapshot validates
+        against the schema."""
+        app, port = server
+        shared = "bool c; c ~ Bernoulli(0.5); observe(c); return c;"
+        ids = []
+        for i in range(10):
+            program = shared if i % 2 == 0 else (
+                f"bool c; c ~ Bernoulli(0.5); "
+                f"observe(c{' || false' * (i + 1)}); return c;"
+            )
+            ids.append(http_json(port, "POST", "/v1/jobs", {
+                "program": program, "samples": 300, "seed": 100 + i,
+                "engine": "importance", "cadence": 0.05,
+                "tenant": f"t{i % 4}",
+            })["id"])
+        app.runner.join(timeout=120)
+        jobs = [http_json(port, "GET", f"/v1/jobs/{job_id}") for job_id in ids]
+        assert [job["status"] for job in jobs] == ["done"] * 10, jobs
+        assert sum(job["cache"] == "hit" for job in jobs) >= 1
+
+        snapshot = next(
+            (
+                data for kind, data in sse_frames(port, f"/v1/jobs/{ids[0]}/events")
+                if kind == "snapshot"
+            ),
+            None,
+        )
+        assert snapshot is not None, "stream ended before a snapshot"
+        jsonschema.validate(snapshot, load_obs_schema("snapshot"))
 
     def test_http_level_validation_and_stats(self, server):
         _, port = server

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import jsonschema
 import pytest
-
-jsonschema = pytest.importorskip("jsonschema")
 
 from repro.core.ast import Program
 from repro.serve.protocol import (
