@@ -118,17 +118,18 @@ def test_live_layer_disabled_overhead(benchmark):
     The snapshot layer added instrumentation sites (engine baseline
     progress reports) and new modules; this re-runs the projected
     overhead check with the live layer resident in the process — a
-    :class:`~repro.obs.SnapshotRecorder` exercised on the workload
+    :class:`~repro.obs.TraceRecorder` publishing to a
+    :class:`~repro.obs.HealthTracker`, exercised on the workload
     first — so the event count includes every PR 8 hook and any
     accidental ambient cost the live layer introduced would show up in
     the baseline timing.
     """
     benchmark.group = "obs-overhead"
-    from repro.obs import SnapshotRecorder, current_recorder
+    from repro.obs import HealthTracker, current_recorder
 
     program = lookup("BayesianLinearRegression").bench()
     _workload(program)  # warm process-lifetime caches
-    live = SnapshotRecorder(cadence=0.0)
+    live = TraceRecorder(cadence=0.0, subscribers=[HealthTracker()])
     with use_recorder(live):
         _workload(program)
     assert live.n_published >= 1, "live layer never published a snapshot"

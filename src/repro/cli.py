@@ -322,9 +322,11 @@ _ENGINE_FACTORIES = {
 }
 
 
-def _run_inference(args, result, cache) -> int:
+def _run_inference(args, result, cache, health=None) -> int:
     """The --infer path: sample the sliced posterior, optionally in
-    parallel, and print a summary."""
+    parallel, and print a summary.  ``health`` is the
+    :class:`~repro.obs.health.HealthTracker` subscribed to the live
+    recorder, if any."""
     from .inference.base import InferenceError
     from .inference.diagnostics import cross_chain_diagnostics
     from .runtime import ParallelRunner
@@ -350,12 +352,9 @@ def _run_inference(args, result, cache) -> int:
     # final progress state), then finalize the health monitors against
     # the merged result and attach the report (printed below,
     # machine-readable on the result itself).
-    rec = current_recorder()
-    if callable(getattr(rec, "publish", None)):
-        rec.publish()
-    tracker = getattr(rec, "health", None)
-    if tracker is not None:
-        inferred.health = tracker.finalize(inferred)
+    if health is not None:
+        current_recorder().publish()
+        inferred.health = health.finalize(inferred)
     print(f"// engine: {engine.name}  jobs: {args.jobs}  seed: {args.seed}")
     if factored:
         print(
@@ -435,44 +434,46 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not (args.trace or args.metrics_summary or args.progress or live):
         return _dispatch(args, program)
     # Observability path: record the whole slice→(compile→)infer run,
-    # then export / summarize.  --watch / --stream-metrics additionally
-    # wrap the trace recorder in a SnapshotRecorder publishing live
-    # snapshots to the dashboard / NDJSON stream while it runs.
+    # then export / summarize.  --watch / --stream-metrics also
+    # subscribe the dashboard / NDJSON stream and the health monitors,
+    # so the recorder publishes live snapshots while it runs.
     from .obs import (
+        HealthTracker,
         ProgressLine,
+        SnapshotStreamWriter,
         TraceRecorder,
+        WatchDashboard,
         format_metrics_summary,
         use_recorder,
         write_trace,
     )
 
     progress_line = ProgressLine(force=True) if args.progress else None
-    recorder = TraceRecorder(on_progress=progress_line)
     watch = None
     stream = None
+    health = None
+    subscribers = []
     if live:
-        from .obs import SnapshotRecorder, SnapshotStreamWriter, WatchDashboard
-
-        subscribers = []
         if args.stream_metrics is not None:
             stream = SnapshotStreamWriter(args.stream_metrics)
             subscribers.append(stream)
         if args.watch:
             watch = WatchDashboard(force=True)
             subscribers.append(watch)
-        recorder = SnapshotRecorder(
-            inner=recorder,
-            cadence=max(0.0, args.snapshot_cadence),
-            subscribers=subscribers,
-        )
-        if watch is not None and recorder.health is not None:
-            recorder.health.on_warning(watch.note_warning)
+        health = HealthTracker()
+        subscribers.append(health)
+        if watch is not None:
+            health.on_warning(watch.note_warning)
+    recorder = TraceRecorder(
+        on_progress=progress_line,
+        cadence=max(0.0, args.snapshot_cadence),
+        subscribers=subscribers,
+    )
     try:
         with use_recorder(recorder):
-            status = _dispatch(args, program)
+            status = _dispatch(args, program, health)
     finally:
-        if live:
-            recorder.publish()  # terminal snapshot, throttle bypassed
+        recorder.publish()  # terminal snapshot (live runs only)
         if watch is not None:
             watch.close()
         if stream is not None:
@@ -493,7 +494,7 @@ def _print_after_pass(pazz, ctx) -> None:
     print(pretty(ctx.program))
 
 
-def _dispatch(args, program) -> int:
+def _dispatch(args, program, health=None) -> int:
     from .passes import PassVerificationError
 
     cache = None
@@ -572,7 +573,7 @@ def _dispatch(args, program) -> int:
         print(pretty(ctx.program), end="")
         return 0
     if args.infer:
-        return _run_inference(args, result, cache)
+        return _run_inference(args, result, cache, health)
     if args.dot:
         from .analysis.dot import slice_result_dot
 

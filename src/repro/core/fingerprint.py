@@ -16,7 +16,8 @@ stale on-disk entry invalidates itself.
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+import weakref
+from typing import Callable, Tuple, Union
 
 from .ast import Expr, Program, Stmt
 from .printer import pretty
@@ -27,6 +28,15 @@ __all__ = ["FINGERPRINT_VERSION", "program_fingerprint"]
 #: v2: ``SliceResult`` gained ``pass_seconds`` and slice entries are
 #: keyed on the pass-pipeline fingerprint instead of option flags.
 FINGERPRINT_VERSION = 2
+
+#: A weak reference to the last object rendered, and its canonical
+#: text.  A cache lookup fingerprints one program under several keys
+#: (flight, get, put); the AST is frozen, so identity is enough to
+#: reuse the text, and the weak reference keeps no program alive.
+#: The pair is replaced whole, so concurrent callers never mix one
+#: object's reference with another's text.  (``object()`` matches
+#: nothing, so the first call renders.)
+_LAST_RENDERED: Tuple[Callable[[], object], str] = (object, "")
 
 
 def program_fingerprint(
@@ -39,9 +49,14 @@ def program_fingerprint(
     matters.  Distinct option sets (e.g. ``simplify=True`` vs
     ``False``) yield distinct fingerprints for the same program.
     """
+    global _LAST_RENDERED
+    last, text = _LAST_RENDERED
+    if last() is not obj:
+        text = pretty(obj)
+        _LAST_RENDERED = (weakref.ref(obj), text)
     h = hashlib.sha256()
     h.update(f"repro-fingerprint-v{FINGERPRINT_VERSION}\x00".encode())
-    h.update(pretty(obj).encode())
+    h.update(text.encode())
     for key in sorted(options):
         h.update(f"\x00{key}={options[key]!r}".encode())
     return h.hexdigest()

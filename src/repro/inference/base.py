@@ -102,9 +102,8 @@ class InferenceResult:
     #: the number of independent draws the population represents.
     lineages: Optional[int] = None
     #: :class:`repro.obs.health.HealthReport` attached by run drivers
-    #: (CLI, harness, parallel runner) when the run executed under a
-    #: live :class:`~repro.obs.live.SnapshotRecorder`; ``None``
-    #: otherwise.  Typed loosely to keep this module free of any
+    #: (the CLI) when a :class:`~repro.obs.health.HealthTracker` was
+    #: subscribed to the run's recorder; ``None`` otherwise.  Typed loosely to keep this module free of any
     #: obs-layer import.
     health: Optional[object] = field(default=None, repr=False, compare=False)
     #: Memoized ``(len(samples), mean, variance)`` reduction — the

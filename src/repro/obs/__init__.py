@@ -8,7 +8,7 @@ way to report what it is doing:
   its per-worker chains).
 * **Metrics** — monotonic counters (cache hits/misses/evictions,
   slice statements kept/dropped per CFG node class), last-value
-  gauges, and histograms.
+  gauges, and histogram summaries.
 * **Progress** — per-iteration engine reports (acceptance rate,
   log-weight ESS, SMC resamples) that can drive a stderr progress
   line.
@@ -20,6 +20,10 @@ with :func:`use_recorder` (the CLI's ``--trace`` / ``--progress`` /
 ``--metrics-summary`` and the harness's ``recorder=`` do this), then
 export with :func:`write_trace` (JSONL or Chrome trace-event format —
 load the latter in ``chrome://tracing`` or https://ui.perfetto.dev).
+The same recorder is the live layer: give it subscribers (a
+:class:`WatchDashboard`, a :class:`SnapshotStreamWriter`, a
+:class:`HealthTracker`) and it publishes a :class:`Snapshot` of its
+metrics every ``cadence`` seconds while the run is in flight.
 """
 
 from .export import (
@@ -42,12 +46,9 @@ from .recorder import (
     use_recorder,
 )
 from .live import (
-    MetricsRegistry,
     Snapshot,
-    SnapshotRecorder,
     SnapshotSink,
     SnapshotStreamWriter,
-    TimeSeries,
     snapshot_to_prometheus,
 )
 from .health import (
@@ -73,12 +74,9 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "write_trace",
-    "MetricsRegistry",
     "Snapshot",
-    "SnapshotRecorder",
     "SnapshotSink",
     "SnapshotStreamWriter",
-    "TimeSeries",
     "snapshot_to_prometheus",
     "HealthReport",
     "HealthTracker",

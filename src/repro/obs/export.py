@@ -19,9 +19,10 @@ Two wire formats plus a human summary:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, IO, Iterator, List, Optional, Union
 
-from .recorder import Span, TraceRecorder
+if TYPE_CHECKING:  # annotations only: the recorder imports live, live imports us
+    from .recorder import Span, TraceRecorder
 
 __all__ = [
     "TRACE_FORMATS",
@@ -75,14 +76,14 @@ def iter_jsonl_records(recorder: TraceRecorder) -> Iterator[Dict[str, Any]]:
     for name in sorted(recorder.gauges):
         yield {"type": "gauge", "name": name, "value": _jsonable(recorder.gauges[name])}
     for name in sorted(recorder.histograms):
-        values = recorder.histograms[name]
+        summary = recorder.histograms[name]
         yield {
             "type": "histogram",
             "name": name,
-            "count": len(values),
-            "sum": float(sum(values)),
-            "min": float(min(values)),
-            "max": float(max(values)),
+            "count": summary.count,
+            "sum": float(summary.sum),
+            "min": float(summary.min),
+            "max": float(summary.max),
         }
     for event in recorder.progress_events:
         yield {
@@ -227,10 +228,10 @@ def format_metrics_summary(recorder: TraceRecorder) -> str:
         lines.append("== histograms ==")
         width = max(len(n) for n in recorder.histograms)
         for name in sorted(recorder.histograms):
-            vs = recorder.histograms[name]
+            h = recorder.histograms[name]
             lines.append(
-                f"  {name:<{width}}  n={len(vs)} sum={sum(vs):g} "
-                f"min={min(vs):g} max={max(vs):g}"
+                f"  {name:<{width}}  n={h.count} sum={h.sum:g} "
+                f"min={h.min:g} max={h.max:g}"
             )
     return "\n".join(lines)
 

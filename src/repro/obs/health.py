@@ -21,8 +21,8 @@ stream *during* a run and turn pathologies into structured
   autocorrelation-ESS/sec over the merged chains (built on
   :mod:`repro.metrics.online`).
 
-A :class:`HealthTracker` subscribes the whole panel to a
-:class:`~repro.obs.live.SnapshotRecorder` and renders a
+A :class:`HealthTracker` is the whole panel as one subscriber of a
+:class:`~repro.obs.recorder.TraceRecorder`, and renders a
 :class:`HealthReport` (machine-readable via :meth:`HealthReport.to_dict`,
 human-readable via :meth:`HealthReport.summary`) that run drivers
 attach to ``InferenceResult.health``.
@@ -55,9 +55,15 @@ __all__ = [
 MH_SOURCES = ("r2-mh", "church-mh", "gibbs")
 
 
-def _base_source(source: str) -> str:
-    """Strip the ``w<index>/`` worker prefix added by registry merges."""
-    return source.rsplit("/", 1)[-1]
+def _chain_key(snapshot: Snapshot, source: str) -> Tuple[Optional[int], str]:
+    """``(worker, source)`` with the ``w<i>/`` merge prefix read back
+    into the worker index, so a worker's in-flight snapshot and the
+    parent's merged one name the same chain alike."""
+    if snapshot.worker is None:
+        head, _, base = source.partition("/")
+        if base and head[:1] == "w" and head[1:].isdigit():
+            return int(head[1:]), base
+    return snapshot.worker, source
 
 
 @dataclass(frozen=True)
@@ -174,11 +180,11 @@ class AcceptanceCollapseMonitor(HealthMonitor):
         for source, st in snapshot.progress.items():
             metrics = st.get("metrics", {})
             rate = metrics.get("accept_rate")
-            if rate is None or _base_source(source) not in self.sources:
+            key = _chain_key(snapshot, source)
+            if rate is None or key[1] not in self.sources:
                 continue
             done = int(st.get("done", 0))
             accepted = float(rate) * done
-            key = (snapshot.worker, source)
             prev = self._state.setdefault(
                 key, {"done": 0.0, "accepted": 0.0, "warned": 0.0}
             )
@@ -234,7 +240,7 @@ class WeightDegeneracyMonitor(HealthMonitor):
             if ess is None:
                 continue
             done = int(st.get("done", 0))
-            key = (snapshot.worker, source)
+            key = _chain_key(snapshot, source)
             if key in self._warned or done < self.min_draws:
                 continue
             ratio = float(ess) / done if done else 1.0
@@ -277,7 +283,7 @@ class ResampleStormMonitor(HealthMonitor):
             resamples = metrics.get("resamples")
             if barriers is None or resamples is None:
                 continue
-            key = (snapshot.worker, source)
+            key = _chain_key(snapshot, source)
             if key in self._warned or barriers < self.min_barriers:
                 continue
             rate = float(resamples) / float(barriers)
@@ -313,7 +319,10 @@ class StallMonitor(HealthMonitor):
     snapshots and this monitor stays silent — but in the common cases
     (one stuck worker among many, one engine wedged while the pipeline
     ticks) other activity keeps the stream alive and the stalled
-    source's unchanged ``done`` is visible against it.
+    source's unchanged ``done`` is visible against it.  Idle time is
+    measured on the absolute ``epoch + t`` timeline, because a chain's
+    snapshots come from its worker's recorder and then from the
+    parent's.
     """
 
     kind = "stall"
@@ -325,21 +334,20 @@ class StallMonitor(HealthMonitor):
 
     def observe(self, snapshot: Snapshot) -> Iterable[HealthWarning]:
         warnings: List[HealthWarning] = []
+        now = snapshot.epoch + snapshot.t
         for source, st in snapshot.progress.items():
             done = int(st.get("done", 0))
             total = st.get("total")
-            key = (snapshot.worker, source)
-            state = self._last_change.setdefault(
-                key, {"done": -1.0, "t": snapshot.t}
-            )
+            key = _chain_key(snapshot, source)
+            state = self._last_change.setdefault(key, {"done": -1.0, "t": now})
             if done != state["done"]:
-                state["done"], state["t"] = float(done), snapshot.t
+                state["done"], state["t"] = float(done), now
                 continue
             if total is not None and done >= total:
                 continue  # finished, not stalled
             if key in self._warned:
                 continue
-            idle = snapshot.t - state["t"]
+            idle = now - state["t"]
             if idle < self.deadline:
                 continue
             self._warned.add(key)
@@ -464,8 +472,9 @@ def default_monitors() -> List[HealthMonitor]:
 
 
 class HealthTracker:
-    """The monitor panel: subscribe to a SnapshotRecorder, then
-    :meth:`finalize` once the run's ``InferenceResult`` exists."""
+    """The monitor panel: a subscriber of a
+    :class:`~repro.obs.recorder.TraceRecorder`; :meth:`finalize` it once
+    the run's ``InferenceResult`` exists."""
 
     def __init__(self, monitors: Optional[Iterable[HealthMonitor]] = None) -> None:
         self.monitors: List[HealthMonitor] = (

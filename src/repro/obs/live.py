@@ -1,34 +1,20 @@
-"""Live telemetry: time-series metrics, periodic snapshots, wire formats.
+"""Live telemetry: the snapshot value, its sinks, and its wire formats.
 
-:mod:`repro.obs.recorder` (PR 3) is post-hoc: a
-:class:`~repro.obs.recorder.TraceRecorder` buffers everything and the
-exporters run after the inference finishes.  This module adds the
-in-flight layer on top of the same Recorder protocol:
-
-* :class:`TimeSeries` — a fixed-capacity ring buffer of ``(t, value)``
-  points; old points fall off the back, so a long run's memory is
-  bounded no matter how chatty its engines are.
-* :class:`MetricsRegistry` — counters, gauges, bounded histogram
-  summaries, and the latest per-source progress state, each mirrored
-  into a :class:`TimeSeries` on a wall-clock sampling cadence.
-* :class:`Snapshot` — an immutable, plain-data picture of the registry
-  at one instant.  Snapshots are what every downstream consumer sees:
-  the ``--watch`` dashboard, the NDJSON stream, the Prometheus
-  exposition, and the :mod:`repro.obs.health` monitors.
-* :class:`SnapshotRecorder` — a Recorder that *composes* with an inner
-  recorder (usually a ``TraceRecorder``): every protocol call is
-  forwarded verbatim — the inner buffers, and therefore the PR 3 JSONL
-  export, are byte-identical with or without the live layer — and
-  additionally folded into the registry.  On a configurable cadence it
-  publishes a :class:`Snapshot` to its subscribers.
+A :class:`~repro.obs.recorder.TraceRecorder` with subscribers publishes
+its state on a cadence as a :class:`Snapshot`: an immutable,
+plain-data picture of its counters, gauges, histogram summaries,
+latest progress per source, and the recent tail of each metric's
+bounded time series.  Snapshots are what every downstream consumer
+sees: the ``--watch`` dashboard, the NDJSON stream, the Prometheus
+exposition, the :mod:`repro.obs.health` monitors, and the
+``repro.serve`` SSE bridge.
 
 Cross-process: a :class:`repro.runtime.parallel.ParallelRunner` worker
-runs under its own ``SnapshotRecorder``.  Its final registry state
-ships home inside the PR 3 picklable trace payload (one extra ``live``
-key that :meth:`TraceRecorder.merge_child` ignores), and — when the
-parent has live subscribers — its periodic snapshots stream back over
-a manager queue during the run, giving per-worker rows on the watch
-dashboard while the pool is still busy.
+runs its own ``TraceRecorder(worker=i)``, whose one payload the parent
+merges when the shard ends.  When the parent has subscribers, the
+worker also publishes, and its snapshots stream back over a manager
+queue during the run, giving per-worker rows on the watch dashboard
+while the pool is still busy.
 
 No threads anywhere: publication is opportunistic (checked whenever an
 instrumented event arrives), which keeps the layer deterministic under
@@ -39,252 +25,17 @@ from __future__ import annotations
 
 import json
 import sys
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    IO,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from .recorder import TraceRecorder
+from .export import _jsonable
 
 __all__ = [
-    "TimeSeries",
-    "HistogramSummary",
-    "MetricsRegistry",
     "Snapshot",
-    "SnapshotRecorder",
     "SnapshotSink",
     "SnapshotStreamWriter",
     "snapshot_to_prometheus",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Ring-buffer time series
-# ---------------------------------------------------------------------------
-
-
-class TimeSeries:
-    """A bounded series of ``(t, value)`` points (oldest dropped first)."""
-
-    __slots__ = ("_points",)
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._points: "deque[Tuple[float, float]]" = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._points.maxlen or 0
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def append(self, t: float, value: float) -> None:
-        self._points.append((t, value))
-
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
-
-    def tail(self, n: int) -> List[Tuple[float, float]]:
-        """The most recent ``n`` points, oldest first."""
-        if n <= 0:
-            return []
-        points = self._points
-        if len(points) <= n:
-            return list(points)
-        return list(points)[-n:]
-
-    def window(self, since_t: float) -> List[Tuple[float, float]]:
-        """Points with ``t >= since_t``, oldest first."""
-        return [p for p in self._points if p[0] >= since_t]
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._points[-1] if self._points else None
-
-
-@dataclass
-class HistogramSummary:
-    """Bounded stand-in for a full histogram value list."""
-
-    count: int = 0
-    sum: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        count = int(other.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.sum += float(other.get("sum", 0.0))
-        self.min = min(self.min, float(other.get("min", self.min)))
-        self.max = max(self.max, float(other.get("max", self.max)))
-
-    def to_dict(self) -> Dict[str, float]:
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-
-class MetricsRegistry:
-    """Current metric values plus their sampled history.
-
-    The registry is the live layer's mutable core: recorder events
-    update the current values cheaply, and :meth:`sample` (called by
-    the owning :class:`SnapshotRecorder` once per publication) appends
-    one point per counter/gauge to the ring-buffered series.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, HistogramSummary] = {}
-        #: Latest progress state per source: ``done``, ``total``,
-        #: ``t`` (seconds since the owning recorder's start), ``events``
-        #: (how many reports arrived), and the latest ``metrics``.
-        self.progress: Dict[str, Dict[str, Any]] = {}
-        self.series: Dict[str, TimeSeries] = {}
-
-    # -- updates ---------------------------------------------------------------
-
-    def bump_counter(self, name: str, value: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        summary = self.histograms.get(name)
-        if summary is None:
-            summary = self.histograms[name] = HistogramSummary()
-        summary.observe(value)
-
-    def note_progress(
-        self,
-        source: str,
-        done: int,
-        total: Optional[int],
-        metrics: Mapping[str, float],
-        t: float,
-    ) -> None:
-        state = self.progress.get(source)
-        if state is None:
-            state = self.progress[source] = {
-                "done": 0,
-                "total": total,
-                "t": t,
-                "first_t": t,
-                "events": 0,
-                "metrics": {},
-            }
-        state["done"] = done
-        state["total"] = total
-        state["t"] = t
-        state["events"] += 1
-        state["metrics"] = dict(metrics)
-
-    def sample(self, t: float) -> None:
-        """Append the current counter/gauge values to their series."""
-        for name, value in self.counters.items():
-            self._series(name).append(t, value)
-        for name, value in self.gauges.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self._series(name).append(t, float(value))
-
-    def _series(self, name: str) -> TimeSeries:
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = TimeSeries(self.capacity)
-        return series
-
-    # -- cross-process ---------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Plain-data state for shipping across a process boundary."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: summary.to_dict()
-                for name, summary in self.histograms.items()
-            },
-            "progress": {
-                source: dict(state, metrics=dict(state["metrics"]))
-                for source, state in self.progress.items()
-            },
-            "series": {
-                name: series.points() for name, series in self.series.items()
-            },
-        }
-
-    def merge(
-        self,
-        payload: Optional[Mapping[str, Any]],
-        offset: float = 0.0,
-        worker: Optional[int] = None,
-    ) -> None:
-        """Fold a worker registry payload into this one.
-
-        Counters sum and histogram summaries combine under their own
-        names (both are additive across workers).  Gauges, progress
-        sources, and series are *per-worker* state, so they merge under
-        a ``w<index>/`` prefix — last-write-wins across workers would
-        silently drop all but one worker's view.  Timestamps are
-        re-based by ``offset`` onto this registry's timeline.
-        """
-        if not payload:
-            return
-        prefix = "" if worker is None else f"w{worker}/"
-        for name, value in payload.get("counters", {}).items():
-            self.bump_counter(name, value)
-        for name, other in payload.get("histograms", {}).items():
-            summary = self.histograms.get(name)
-            if summary is None:
-                summary = self.histograms[name] = HistogramSummary()
-            summary.merge(other)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauges[prefix + name] = value
-        for source, state in payload.get("progress", {}).items():
-            merged = dict(state, metrics=dict(state.get("metrics", {})))
-            for key in ("t", "first_t"):
-                if key in merged:
-                    merged[key] = merged[key] + offset
-            self.progress[prefix + source] = merged
-        for name, points in payload.get("series", {}).items():
-            series = self._series(prefix + name)
-            for t, value in points:
-                series.append(t + offset, value)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +45,7 @@ class MetricsRegistry:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """An immutable picture of a registry at one instant.
+    """An immutable picture of a recorder's metric state at one instant.
 
     All mappings are fresh copies taken at publication; treat them as
     read-only.  ``t`` is seconds since the producing recorder started;
@@ -326,13 +77,13 @@ class Snapshot:
             "epoch": self.epoch,
             "worker": self.worker,
             "counters": dict(self.counters),
-            "gauges": _json_clean(dict(self.gauges)),
+            "gauges": _jsonable(dict(self.gauges)),
             "histograms": {k: dict(v) for k, v in self.histograms.items()},
-            "progress": _json_clean(
+            "progress": _jsonable(
                 {k: dict(v) for k, v in self.progress.items()}
             ),
             "series": {
-                name: [[t, _json_clean(v)] for t, v in points]
+                name: [[t, _jsonable(v)] for t, v in points]
                 for name, points in self.series.items()
             },
         }
@@ -357,240 +108,6 @@ class Snapshot:
         )
 
 
-def _json_clean(value: Any) -> Any:
-    """NaN/Inf-free, JSON-encodable copy (mirrors export._jsonable)."""
-    if isinstance(value, dict):
-        return {str(k): _json_clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_clean(v) for v in value]
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return repr(value)
-        return value
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-# ---------------------------------------------------------------------------
-# The snapshot recorder
-# ---------------------------------------------------------------------------
-
-
-class SnapshotRecorder:
-    """A Recorder that publishes periodic snapshots while delegating
-    every event, untouched, to an inner recorder.
-
-    ``cadence`` — minimum seconds between published snapshots (``0``
-    publishes on every recorded event: the deterministic test mode).
-    ``clock`` — monotonic time source, injectable for tests.
-    ``health`` — a snapshot consumer (usually a
-    :class:`repro.obs.health.HealthTracker`) auto-subscribed and
-    exposed so run drivers can finalize a
-    :class:`~repro.obs.health.HealthReport`; pass ``None`` to disable.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        inner: Optional[Any] = None,
-        cadence: float = 0.25,
-        capacity: int = 256,
-        tail: int = 32,
-        worker: Optional[int] = None,
-        subscribers: Iterable[Callable[[Snapshot], None]] = (),
-        health: Any = "auto",
-        clock: Callable[[], float] = time.monotonic,
-        max_kept: int = 1024,
-    ) -> None:
-        if cadence < 0:
-            raise ValueError("cadence must be >= 0")
-        self.inner = TraceRecorder() if inner is None else inner
-        self.registry = MetricsRegistry(capacity)
-        self.cadence = cadence
-        self.tail = tail
-        self.worker = worker
-        self.epoch = getattr(self.inner, "epoch", None) or time.time()
-        self._clock = clock
-        self._start = clock()
-        self._last_pub: Optional[float] = None
-        self._seq = 0
-        #: The most recent snapshots (bounded) — post-hoc consumers
-        #: (tests, the health bench) read these; live consumers
-        #: subscribe instead.
-        self.snapshots: "deque[Snapshot]" = deque(maxlen=max_kept)
-        self._subscribers: List[Callable[[Snapshot], None]] = list(subscribers)
-        if health == "auto":
-            from .health import HealthTracker
-
-            health = HealthTracker()
-        self.health = health
-        if health is not None:
-            self._subscribers.append(health)
-        #: Latest in-flight snapshot per worker index (fed by
-        #: :meth:`ingest_worker_snapshot` during a parallel run).
-        self.worker_snapshots: Dict[int, Snapshot] = {}
-
-    # -- Recorder protocol (pure delegation + registry mirror) -----------------
-
-    def span(self, name: str, **attrs: Any):
-        return self.inner.span(name, **attrs)
-
-    def counter(self, name: str, value: float = 1) -> None:
-        self.inner.counter(name, value)
-        self.registry.bump_counter(name, value)
-        self.maybe_publish()
-
-    def gauge(self, name: str, value: float) -> None:
-        self.inner.gauge(name, value)
-        self.registry.set_gauge(name, value)
-        self.maybe_publish()
-
-    def histogram(self, name: str, value: float) -> None:
-        self.inner.histogram(name, value)
-        self.registry.observe(name, value)
-        self.maybe_publish()
-
-    def progress(
-        self, source: str, done: int, total: Optional[int], **metrics: float
-    ) -> None:
-        self.inner.progress(source, done, total, **metrics)
-        t = self._now()
-        self.registry.note_progress(source, done, total, metrics, t)
-        for key, value in metrics.items():
-            self.registry.set_gauge(f"progress.{source}.{key}", value)
-        self.registry.set_gauge(f"progress.{source}.done", done)
-        self.maybe_publish()
-
-    # -- time ------------------------------------------------------------------
-
-    def _now(self) -> float:
-        return self._clock() - self._start
-
-    # -- publication -----------------------------------------------------------
-
-    def subscribe(self, fn: Callable[[Snapshot], None]) -> None:
-        self._subscribers.append(fn)
-
-    @property
-    def n_published(self) -> int:
-        return self._seq
-
-    def maybe_publish(self) -> Optional[Snapshot]:
-        """Publish if at least ``cadence`` seconds have passed since
-        the previous publication (always publishes the first time)."""
-        now = self._now()
-        if self._last_pub is not None and now - self._last_pub < self.cadence:
-            return None
-        return self.publish()
-
-    def publish(self) -> Snapshot:
-        """Sample the registry and emit a snapshot unconditionally."""
-        t = self._now()
-        self._last_pub = t
-        reg = self.registry
-        reg.sample(t)
-        snapshot = Snapshot(
-            seq=self._seq,
-            t=t,
-            epoch=self.epoch,
-            worker=self.worker,
-            counters=dict(reg.counters),
-            gauges=dict(reg.gauges),
-            histograms={
-                name: summary.to_dict()
-                for name, summary in reg.histograms.items()
-            },
-            progress={
-                source: dict(state, metrics=dict(state["metrics"]))
-                for source, state in reg.progress.items()
-            },
-            series={
-                name: tuple(series.tail(self.tail))
-                for name, series in reg.series.items()
-            },
-        )
-        self._seq += 1
-        self.snapshots.append(snapshot)
-        for fn in self._subscribers:
-            fn(snapshot)
-        return snapshot
-
-    # -- cross-process protocol ------------------------------------------------
-
-    def worker_spec(self) -> Dict[str, Any]:
-        """Constructor kwargs for a worker-side clone of this recorder
-        (picklable plain data — the :mod:`repro.runtime` fan-out ships
-        it inside the task payload)."""
-        return {
-            "cadence": self.cadence,
-            "capacity": self.registry.capacity,
-            "tail": self.tail,
-        }
-
-    @property
-    def wants_live(self) -> bool:
-        """Whether in-flight worker snapshots have anywhere to go.
-
-        The health tracker alone does not justify a manager queue: it
-        sees everything at merge time anyway.  A watch dashboard or an
-        NDJSON stream does.
-        """
-        return any(
-            fn is not self.health for fn in self._subscribers
-        )
-
-    def ingest_worker_snapshot(self, payload: Mapping[str, Any]) -> None:
-        """Deliver one in-flight worker snapshot to local subscribers.
-
-        ``payload`` is :meth:`Snapshot.to_dict` output shipped over the
-        parallel runner's queue.  The snapshot is *not* merged into
-        this registry (the authoritative merge happens once, from the
-        worker's final payload, in :meth:`merge_child`) — it only feeds
-        the live consumers.
-        """
-        snapshot = Snapshot.from_dict(payload)
-        if snapshot.worker is not None:
-            self.worker_snapshots[snapshot.worker] = snapshot
-        for fn in self._subscribers:
-            fn(snapshot)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The inner trace payload plus this recorder's registry state
-        (under the ``live`` key, which plain
-        :meth:`TraceRecorder.merge_child` ignores)."""
-        payload = self.inner.to_payload()
-        payload["live"] = self.registry.to_payload()
-        payload["worker"] = self.worker
-        return payload
-
-    def merge_child(self, payload: Optional[Mapping[str, Any]]) -> None:
-        """Fold a worker payload into the inner recorder and, when the
-        worker ran live telemetry, into this registry."""
-        if payload is None:
-            return
-        self.inner.merge_child(payload)
-        live = payload.get("live")
-        if live is not None:
-            offset = payload.get("epoch", self.epoch) - self.epoch
-            self.registry.merge(live, offset=offset, worker=payload.get("worker"))
-
-    # -- introspection ---------------------------------------------------------
-
-    def __getattr__(self, name: str) -> Any:
-        # Post-hoc queries (stage_seconds, find_spans, counters, ...)
-        # fall through to the inner recorder, so existing report code
-        # accepts a SnapshotRecorder wherever it took a TraceRecorder.
-        return getattr(self.inner, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SnapshotRecorder(cadence={self.cadence}, "
-            f"published={self._seq}, inner={self.inner!r})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Sinks
 # ---------------------------------------------------------------------------
@@ -599,7 +116,7 @@ class SnapshotRecorder:
 class SnapshotSink:
     """The consumer contract every snapshot sink implements.
 
-    A *sink* is anything a :class:`SnapshotRecorder` publishes to that
+    A *sink* is anything a :class:`~repro.obs.recorder.TraceRecorder` publishes to that
     has a lifetime: the ``--watch`` dashboard, the NDJSON stream
     writer, and ``repro.serve``'s per-job SSE bridge all subclass
     this.  The contract exists so every sink shares one delivery

@@ -1,4 +1,4 @@
-"""The Recorder protocol: spans, metrics, and progress events.
+"""The Recorder protocol and the one metric store.
 
 Two implementations share one duck-typed surface:
 
@@ -12,8 +12,12 @@ Two implementations share one duck-typed surface:
   classify statements, say) must guard on :attr:`Recorder.enabled`.
 * :class:`TraceRecorder` — buffers hierarchical spans (wall + CPU
   time, free-form attributes), typed metrics (monotonic counters,
-  last-value gauges, value-list histograms), and per-engine progress
-  events in memory.  Export lives in :mod:`repro.obs.export`.
+  last-value gauges, count/sum/min/max histogram summaries), every
+  per-engine progress event and the latest state per progress source.
+  Export lives in :mod:`repro.obs.export`.  Given subscribers, it also
+  publishes a :class:`~repro.obs.live.Snapshot` of that state every
+  ``cadence`` seconds, on the recording thread, and keeps a bounded
+  time series per counter and gauge for the snapshots to carry.
 
 The ambient recorder is a :mod:`contextvars` variable:
 :func:`current_recorder` reads it (the instrumented layers call this
@@ -22,24 +26,31 @@ context manager the CLI / harness / tests install a recorder with.
 
 Cross-process merging (the :class:`repro.runtime.parallel
 .ParallelRunner` worker protocol): a worker builds its own
-``TraceRecorder``, serializes it with :meth:`TraceRecorder.to_payload`
-(plain dicts — picklable under fork, spawn, and forkserver alike), and
-the parent folds it in with :meth:`TraceRecorder.merge_child`.  Span
-timestamps are kept relative to each recorder's wall-clock epoch, so
-merging re-bases the child's spans by the epoch difference and the
-merged tree lines up on one timeline.
+``TraceRecorder(worker=i)``, serializes it with
+:meth:`TraceRecorder.to_payload` (plain dicts — picklable under fork,
+spawn, and forkserver alike), and the parent folds it in with
+:meth:`TraceRecorder.merge_child`.  Span timestamps are kept relative
+to each recorder's wall-clock epoch, so merging re-bases the child's
+spans by the epoch difference and the merged tree lines up on one
+timeline.
 """
 
 from __future__ import annotations
 
 import contextvars
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+)
+
+from .live import Snapshot
 
 __all__ = [
     "Span",
+    "HistogramSummary",
     "NullRecorder",
     "NULL_RECORDER",
     "TraceRecorder",
@@ -191,18 +202,71 @@ class NullRecorder:
 NULL_RECORDER = NullRecorder()
 
 
+@dataclass
+class HistogramSummary:
+    """A histogram's count, sum, min and max — all either exporter
+    prints, so the values themselves are not kept."""
+
+    count: int = 0
+    sum: float = 0.0
+    min: float = float("inf")
+    max: float = float("-inf")
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other: Mapping[str, float]) -> None:
+        """Add another (non-empty) summary in its :meth:`to_dict` form."""
+        self.count += int(other["count"])
+        self.sum += other["sum"]
+        self.min = min(self.min, other["min"])
+        self.max = max(self.max, other["max"])
+
+    def to_dict(self) -> Dict[str, float]:
+        return {"count": self.count, "sum": self.sum, "min": self.min, "max": self.max}
+
+
+#: Points kept per counter/gauge series (oldest dropped first).
+SERIES_CAPACITY = 256
+#: Most recent points of each series that a snapshot carries.
+SERIES_TAIL = 32
+#: Most recent snapshots a recorder keeps in :attr:`TraceRecorder.snapshots`.
+SNAPSHOTS_KEPT = 1024
+
+
 class TraceRecorder:
     """In-memory recorder of spans, metrics, and progress events.
 
     ``on_progress`` — optional callable invoked with every progress
     event dict (the stderr progress line registers here).
+    ``subscribers`` — snapshot consumers (the ``--watch`` dashboard, an
+    NDJSON stream, a :class:`~repro.obs.health.HealthTracker`, the
+    service's SSE bridge).  With none, nothing is ever published.
+    ``cadence`` — minimum seconds between published snapshots (``0``
+    publishes on every metric or progress event: the deterministic
+    test mode).  ``worker`` — the worker index inside a
+    :class:`~repro.runtime.parallel.ParallelRunner` shard, ``None`` on
+    the parent.  ``clock`` — monotonic time source of the snapshot
+    timeline, injectable for tests.
     """
 
     enabled = True
 
     def __init__(
-        self, on_progress: Optional[Callable[[Dict[str, Any]], None]] = None
+        self,
+        on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
+        cadence: float = 0.25,
+        subscribers: Iterable[Callable[[Snapshot], None]] = (),
+        worker: Optional[int] = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if cadence < 0:
+            raise ValueError("cadence must be >= 0")
         #: Wall-clock (``time.time``) instant all span times are
         #: relative to — the cross-process alignment anchor.
         self.epoch = time.time()
@@ -210,9 +274,25 @@ class TraceRecorder:
         self.spans: List[Span] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, List[float]] = {}
+        self.histograms: Dict[str, HistogramSummary] = {}
         self.progress_events: List[Dict[str, Any]] = []
+        #: Latest state per progress source: ``done``, ``total``, ``t``
+        #: and ``first_t`` (snapshot-clock seconds), ``events`` (reports
+        #: so far) and the latest ``metrics``.
+        self.progress_state: Dict[str, Dict[str, Any]] = {}
+        #: Bounded ``(t, value)`` history per counter and gauge, sampled
+        #: at each publication.
+        self.series: Dict[str, Deque[Tuple[float, float]]] = {}
         self.on_progress = on_progress
+        self.cadence = cadence
+        self.subscribers: List[Callable[[Snapshot], None]] = list(subscribers)
+        self.worker = worker
+        #: The most recent snapshots (bounded), for post-hoc readers.
+        self.snapshots: Deque[Snapshot] = deque(maxlen=SNAPSHOTS_KEPT)
+        self.n_published = 0
+        self._clock = clock
+        self._start = clock()
+        self._last_pub: Optional[float] = None
         self._stack: List[Span] = []
         self._cpu_marks: List[float] = []
 
@@ -232,12 +312,18 @@ class TraceRecorder:
 
     def counter(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
+        if self.subscribers:
+            self.maybe_publish()
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
+        if self.subscribers:
+            self.maybe_publish()
 
     def histogram(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, []).append(value)
+        self.histograms.setdefault(name, HistogramSummary()).observe(value)
+        if self.subscribers:
+            self.maybe_publish()
 
     # -- progress --------------------------------------------------------------
 
@@ -260,20 +346,92 @@ class TraceRecorder:
         self.gauges[f"progress.{source}.done"] = done
         for key, value in metrics.items():
             self.gauges[f"progress.{source}.{key}"] = value
+        t = self._clock() - self._start
+        state = self.progress_state.get(source)
+        if state is None:
+            state = self.progress_state[source] = {
+                "done": 0, "total": total, "t": t, "first_t": t,
+                "events": 0, "metrics": {},
+            }
+        state.update(done=done, total=total, t=t, metrics=event["metrics"])
+        state["events"] += 1
         if self.on_progress is not None:
             self.on_progress(event)
+        if self.subscribers:
+            self.maybe_publish()
+
+    # -- publication -----------------------------------------------------------
+
+    def maybe_publish(self) -> Optional[Snapshot]:
+        """Publish if at least ``cadence`` seconds have passed since
+        the previous publication (always publishes the first time)."""
+        now = self._clock() - self._start
+        if self._last_pub is not None and now - self._last_pub < self.cadence:
+            return None
+        return self.publish()
+
+    def publish(self) -> Optional[Snapshot]:
+        """Sample the series and hand every subscriber a snapshot,
+        whatever the cadence; with no subscriber, do nothing."""
+        if not self.subscribers:
+            return None
+        t = self._clock() - self._start
+        self._last_pub = t
+        for name, value in self.counters.items():
+            self._sample(name, t, value)
+        for name, value in self.gauges.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                self._sample(name, t, float(value))
+        snapshot = Snapshot(
+            seq=self.n_published,
+            t=t,
+            epoch=self.epoch,
+            worker=self.worker,
+            counters=dict(self.counters),
+            gauges=dict(self.gauges),
+            histograms={k: h.to_dict() for k, h in self.histograms.items()},
+            progress=_copy_states(self.progress_state),
+            series={
+                name: tuple(points)[-SERIES_TAIL:]
+                for name, points in self.series.items()
+            },
+        )
+        self.n_published += 1
+        self.snapshots.append(snapshot)
+        for fn in self.subscribers:
+            fn(snapshot)
+        return snapshot
+
+    def _sample(self, name: str, t: float, value: float) -> None:
+        points = self.series.get(name)
+        if points is None:
+            points = self.series[name] = deque(maxlen=SERIES_CAPACITY)
+        points.append((t, value))
+
+    def ingest_worker_snapshot(self, payload: Mapping[str, Any]) -> None:
+        """Hand one in-flight worker snapshot (:meth:`Snapshot.to_dict`
+        form, shipped over the parallel runner's queue) to the
+        subscribers.  It is not merged into this store: the worker's
+        final payload is, once, by :meth:`merge_child`."""
+        snapshot = Snapshot.from_dict(payload)
+        for fn in self.subscribers:
+            fn(snapshot)
 
     # -- cross-process merge ---------------------------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """Plain-data snapshot for shipping across a process boundary."""
+        """The whole store as plain data, for shipping across a process
+        boundary (the one payload a parallel worker sends home)."""
         return {
             "epoch": self.epoch,
+            "worker": self.worker,
             "spans": [s.to_dict() for s in self.spans],
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": {k: list(v) for k, v in self.histograms.items()},
+            "histograms": {k: h.to_dict() for k, h in self.histograms.items()},
             "progress": [dict(e) for e in self.progress_events],
+            "progress_state": _copy_states(self.progress_state),
+            "series": {name: list(points) for name, points in self.series.items()},
         }
 
     def merge_child(self, payload: Optional[Dict[str, Any]]) -> None:
@@ -281,26 +439,36 @@ class TraceRecorder:
 
         Child spans are re-based onto this recorder's timeline (epoch
         difference) and attached under the currently open span (the
-        parallel fan-out span) or at the root.  Counters sum,
-        histograms concatenate, gauges last-write-wins, and progress
-        events append with re-based timestamps.
+        parallel fan-out span) or at the root; progress events append
+        with re-based timestamps.  Counters and histograms add under
+        their own names.  Gauges, progress state and series are the
+        worker's own view, so those of worker *i* merge under a
+        ``w<i>/`` prefix (a payload with no worker index merges
+        unprefixed, last write wins).
         """
         if payload is None:
             return
         offset = payload["epoch"] - self.epoch
+        worker = payload["worker"]
+        prefix = "" if worker is None else f"w{worker}/"
         sink = self._stack[-1].children if self._stack else self.spans
-        for d in payload.get("spans", []):
+        for d in payload["spans"]:
             sink.append(Span.from_dict(d).shifted(offset))
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name, value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauges[name] = value
-        for name, values in payload.get("histograms", {}).items():
-            self.histograms.setdefault(name, []).extend(values)
-        for event in payload.get("progress", []):
-            event = dict(event)
-            event["t"] = event.get("t", 0.0) + offset
-            self.progress_events.append(event)
+        for name, value in payload["counters"].items():
+            self.counters[name] = self.counters.get(name, 0) + value
+        for name, other in payload["histograms"].items():
+            self.histograms.setdefault(name, HistogramSummary()).merge(other)
+        for name, value in payload["gauges"].items():
+            self.gauges[prefix + name] = value
+        for event in payload["progress"]:
+            self.progress_events.append(dict(event, t=event["t"] + offset))
+        for source, state in _copy_states(payload["progress_state"]).items():
+            state["t"] += offset
+            state["first_t"] += offset
+            self.progress_state[prefix + source] = state
+        for name, points in payload["series"].items():
+            for t, value in points:
+                self._sample(prefix + name, t + offset, value)
 
     # -- queries ---------------------------------------------------------------
 
@@ -330,8 +498,18 @@ class TraceRecorder:
         return (
             f"TraceRecorder(spans={len(self.spans)}, "
             f"counters={len(self.counters)}, "
-            f"progress={len(self.progress_events)})"
+            f"progress={len(self.progress_events)}, "
+            f"published={self.n_published})"
         )
+
+
+def _copy_states(states: Mapping[str, Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """Progress states copied deep enough that later reports do not
+    show through."""
+    return {
+        source: dict(state, metrics=dict(state["metrics"]))
+        for source, state in states.items()
+    }
 
 
 #: Structural union for annotations; both implementations satisfy it.

@@ -93,71 +93,54 @@ def numpy_generator(master_seed: Optional[int], *path: object) -> np.random.Gene
 
 
 def _infer_shard(
-    payload: Tuple[Engine, Program, int, bool, Optional[dict], Optional[object]]
+    payload: Tuple[Engine, Program, int, bool, float, Optional[object]]
 ) -> Tuple[InferenceResult, Optional[dict]]:
     """Top-level worker entry point (must be picklable by reference).
 
     With ``capture`` set, the shard runs under its own
-    :class:`TraceRecorder` whose whole buffer (the ``worker`` span tree
-    plus any engine progress metrics and counters) ships back as a
-    plain-dict payload for the parent to merge — the same code path
-    regardless of start method, so fork/spawn/forkserver/inline all
-    produce identical span structure.
-
-    ``live_spec`` (the parent :class:`~repro.obs.live.SnapshotRecorder`'s
-    ``worker_spec()``) upgrades the worker recorder to a
-    ``SnapshotRecorder`` wrapping that same ``TraceRecorder`` — the
-    trace half of the payload stays identical — and adds the worker's
-    final registry state under the payload's ``live`` key.  ``sink``
-    (a manager queue, or an in-process adapter on the inline backend)
-    additionally streams each published snapshot home as
+    ``TraceRecorder(worker=index)`` whose whole buffer (the ``worker``
+    span tree, engine progress, counters, gauges and histograms) ships
+    back as one plain-dict payload for the parent to merge — the same
+    code path regardless of start method, so fork/spawn/forkserver/
+    inline all produce identical span structure.  ``sink`` (a manager
+    queue, or an in-process adapter on the inline backend) is set when
+    the parent has subscribers: the worker then publishes every
+    ``cadence`` seconds and streams each snapshot home as
     ``(index, snapshot_dict)`` while the shard is still running.
     """
-    engine, program, index, capture, live_spec, sink = payload
+    engine, program, index, capture, cadence, sink = payload
     if not capture:
         return engine.infer(program), None
-    trace = TraceRecorder()
-    recorder: object = trace
-    if live_spec is not None:
-        from ..obs.live import SnapshotRecorder
+    subscribers = []
+    if sink is not None:
 
-        subscribers = []
-        if sink is not None:
+        def ship(snapshot: object) -> None:
+            try:
+                sink.put((index, snapshot.to_dict()))  # type: ignore[union-attr]
+            except Exception:
+                pass  # a dead parent queue must not kill the shard
 
-            def ship(snapshot: object) -> None:
-                try:
-                    sink.put((index, snapshot.to_dict()))  # type: ignore[union-attr]
-                except Exception:
-                    pass  # a dead parent queue must not kill the shard
-
-            subscribers.append(ship)
-        recorder = SnapshotRecorder(
-            inner=trace,
-            worker=index,
-            subscribers=subscribers,
-            health=None,  # monitors run on the parent, over the merge
-            **live_spec,
-        )
+        subscribers.append(ship)
+    recorder = TraceRecorder(cadence=cadence, subscribers=subscribers, worker=index)
     with use_recorder(recorder):
-        with trace.span(
+        with recorder.span(
             "worker", worker=index, engine=engine.name, pid=os.getpid()
         ):
             result = engine.infer(program)
-    if live_spec is not None:
-        recorder.publish()  # type: ignore[union-attr]
-    return result, recorder.to_payload()  # type: ignore[union-attr]
+    recorder.publish()  # the final state, to a live parent
+    return result, recorder.to_payload()
 
 
 class _InlineSink:
     """Queue stand-in for the inline backend: snapshots go straight to
     the parent recorder, synchronously and deterministically."""
 
-    def __init__(self, recorder: object) -> None:
+    def __init__(self, recorder: TraceRecorder) -> None:
         self.recorder = recorder
 
     def put(self, item: Tuple[int, dict]) -> None:
         _, snapshot = item
-        self.recorder.ingest_worker_snapshot(snapshot)  # type: ignore[attr-defined]
+        self.recorder.ingest_worker_snapshot(snapshot)
 
 
 def _recombine(
@@ -374,14 +357,12 @@ class ParallelRunner:
         recorder = current_recorder()
         capture = recorder.enabled
         inline = self.backend == "inline" or force_inline
-        # A SnapshotRecorder parent asks workers to run live telemetry
-        # too; when it also has live consumers (watch, NDJSON stream),
-        # in-flight snapshots come home through a sink.
-        spec_fn = getattr(recorder, "worker_spec", None)
-        live_spec = spec_fn() if capture and callable(spec_fn) else None
+        # A parent with subscribers (watch, NDJSON stream, SSE, health)
+        # gets the workers' in-flight snapshots through a sink.
+        cadence = recorder.cadence if capture else 0.0
         manager = None
         sink: Optional[object] = None
-        if live_spec is not None and getattr(recorder, "wants_live", False):
+        if capture and recorder.subscribers:
             if inline:
                 sink = _InlineSink(recorder)
             else:
@@ -389,7 +370,7 @@ class ParallelRunner:
                 manager = ctx.Manager()
                 sink = manager.Queue()
         payloads = [
-            (engine, program, i, capture, live_spec, sink)
+            (engine, program, i, capture, cadence, sink)
             for i, (engine, program) in enumerate(tasks)
         ]
         try:
@@ -426,7 +407,7 @@ class ParallelRunner:
                 manager.shutdown()
 
     @staticmethod
-    def _drain(sink: object, recorder: object) -> None:
+    def _drain(sink: object, recorder: TraceRecorder) -> None:
         """Forward queued in-flight worker snapshots to the parent
         recorder's subscribers."""
         import queue as _queue
@@ -436,7 +417,7 @@ class ParallelRunner:
                 _, snapshot = sink.get_nowait()  # type: ignore[attr-defined]
             except (_queue.Empty, OSError, EOFError):
                 return
-            recorder.ingest_worker_snapshot(snapshot)  # type: ignore[attr-defined]
+            recorder.ingest_worker_snapshot(snapshot)
 
     def __repr__(self) -> str:
         return (

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..inference.base import InferenceCancelled, InferenceError
-from ..obs.live import SnapshotRecorder
+from ..obs.health import HealthTracker
 from ..obs.recorder import TraceRecorder, use_recorder
 from ..runtime.cache import ProgramCache
 from ..runtime.parallel import ParallelRunner
@@ -81,8 +81,8 @@ class LocalRunner:
     ``post(fn, *args)`` marshals every callback; the serve app passes
     ``loop.call_soon_threadsafe`` so job state only ever mutates on
     the event-loop thread.  ``clock`` feeds each job's
-    :class:`SnapshotRecorder` (injectable for cadence-deterministic
-    tests).  ``parallel_backend`` picks the
+    :class:`TraceRecorder` snapshot timeline (injectable for
+    cadence-deterministic tests).  ``parallel_backend`` picks the
     :class:`ParallelRunner` start method for multi-worker jobs
     (``None`` = platform default; single-worker jobs never fork).
     """
@@ -159,12 +159,9 @@ class LocalRunner:
             emit=lambda kind, data: self.post(emit, kind, data),
             should_cancel=lambda: job.cancel_requested,
         )
-        trace = TraceRecorder()
-        recorder = SnapshotRecorder(
-            inner=trace,
-            cadence=spec.cadence,
-            subscribers=[bridge],
-            clock=self.clock,
+        health = HealthTracker()
+        recorder = TraceRecorder(
+            cadence=spec.cadence, subscribers=[bridge, health], clock=self.clock
         )
         try:
             with use_recorder(recorder):
@@ -195,33 +192,31 @@ class LocalRunner:
                 # Terminal snapshot: short runs may never cross the
                 # cadence; the SSE stream must still see final state.
                 recorder.publish()
-                tracker = recorder.health
                 summary = summarize_result(inferred)
-                if tracker is not None:
-                    summary["health"] = tracker.finalize(inferred).to_dict()
+                summary["health"] = health.finalize(inferred).to_dict()
             outcome = JobOutcome(
                 status=DONE,
                 result=summary,
-                cache=self._cache_verdict(trace),
-                stage_seconds=trace.stage_seconds(),
-                counters=dict(trace.counters),
+                cache=self._cache_verdict(recorder),
+                stage_seconds=recorder.stage_seconds(),
+                counters=dict(recorder.counters),
             )
         except InferenceCancelled as exc:
             outcome = JobOutcome(
                 status=CANCELLED,
                 error=str(exc),
-                cache=self._cache_verdict(trace),
-                stage_seconds=trace.stage_seconds(),
-                counters=dict(trace.counters),
+                cache=self._cache_verdict(recorder),
+                stage_seconds=recorder.stage_seconds(),
+                counters=dict(recorder.counters),
                 partial=True,
             )
         except BaseException as exc:  # a job must never kill its slot
             outcome = JobOutcome(
                 status=FAILED,
                 error=f"{type(exc).__name__}: {exc}",
-                cache=self._cache_verdict(trace),
-                stage_seconds=trace.stage_seconds(),
-                counters=dict(trace.counters),
+                cache=self._cache_verdict(recorder),
+                stage_seconds=recorder.stage_seconds(),
+                counters=dict(recorder.counters),
             )
         try:
             self.post(done, outcome)

@@ -8,7 +8,7 @@ entirely from the log; this module only does the wire format.
 
 :class:`SnapshotBridge` is the serve-side
 :class:`~repro.obs.live.SnapshotSink`: subscribed to a job's
-:class:`~repro.obs.live.SnapshotRecorder`, it forwards every published
+:class:`~repro.obs.recorder.TraceRecorder`, it forwards every published
 snapshot into the job's event log (via the runner's thread-safe
 ``emit``) and doubles as the deadline enforcement point — it raises
 :class:`~repro.inference.base.InferenceCancelled` *inside the engine's

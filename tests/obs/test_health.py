@@ -7,7 +7,7 @@ import pytest
 from repro.inference import MetropolisHastings
 from repro.models import TABLE1
 from repro.models import benchmark as lookup
-from repro.obs import SnapshotRecorder, use_recorder
+from repro.obs import TraceRecorder, use_recorder
 from repro.obs.health import (
     AcceptanceCollapseMonitor,
     ConvergenceMonitor,
@@ -37,7 +37,7 @@ class TestAcceptanceCollapse:
 
     def test_fires_below_threshold(self):
         tracker = self._tracker()
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 500, 1000, 0.206)
         warnings = tracker.warnings
         assert len(warnings) == 1
@@ -49,13 +49,13 @@ class TestAcceptanceCollapse:
 
     def test_quiet_above_threshold(self):
         tracker = self._tracker()
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 500, 1000, 0.32)  # HIV's rate: healthy
         assert tracker.warnings == []
 
     def test_needs_min_proposals(self):
         tracker = self._tracker(min_proposals=200)
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 50, 1000, 0.0)  # early noise, too few proposals
         assert tracker.warnings == []
         _mh_progress(rec, 250, 1000, 0.1)
@@ -66,7 +66,7 @@ class TestAcceptanceCollapse:
         stays above threshold for a while, but the recent window
         catches it."""
         tracker = self._tracker(min_window=100)
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 1000, 4000, 0.9)
         assert tracker.warnings == []
         # 1000 more proposals at ~0% acceptance: cumulative is still
@@ -77,7 +77,7 @@ class TestAcceptanceCollapse:
 
     def test_fires_once_per_source(self):
         tracker = self._tracker()
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         for done in (300, 600, 900):
             _mh_progress(rec, done, 1000, 0.05)
         assert len(tracker.warnings) == 1
@@ -86,33 +86,45 @@ class TestAcceptanceCollapse:
         """The rejection sampler's low accept rate is expected physics,
         not a pathology — only MH-family sources are monitored."""
         tracker = self._tracker()
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         rec.progress("rejection", 500, 1000, accept_rate=0.001)
         assert tracker.warnings == []
 
     def test_worker_prefixed_sources_monitored_separately(self):
         tracker = self._tracker()
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
-        rec.registry.note_progress(
-            "w0/r2-mh", 500, 1000, {"accept_rate": 0.05}, t=0.1
-        )
-        rec.registry.note_progress(
-            "w1/r2-mh", 500, 1000, {"accept_rate": 0.9}, t=0.1
-        )
+        rec = TraceRecorder(cadence=3600.0, subscribers=[tracker])
+        for index, rate in ((0, 0.05), (1, 0.9)):
+            worker = TraceRecorder(worker=index)
+            _mh_progress(worker, 500, 1000, rate)
+            rec.merge_child(worker.to_payload())
         _snap(rec)
         assert [w.source for w in tracker.warnings] == ["w0/r2-mh"]
+
+    def test_in_flight_and_merged_snapshots_warn_once_per_worker(self):
+        """A worker's in-flight snapshot names its chain ``(i, "r2-mh")``
+        and the parent's merged one ``(None, "w<i>/r2-mh")``: both are
+        the same chain, so it is flagged once."""
+        tracker = self._tracker()
+        parent = TraceRecorder(cadence=3600.0, subscribers=[tracker])
+        for index in (0, 1):
+            worker = TraceRecorder(cadence=0.0, subscribers=[tracker], worker=index)
+            _mh_progress(worker, 500, 1000, 0.05)
+            parent.merge_child(worker.to_payload())
+        _snap(parent)
+        assert tracker.n_snapshots == 3
+        assert sorted(w.worker for w in tracker.warnings) == [0, 1]
 
 
 class TestWeightDegeneracy:
     def test_fires_on_low_ess_ratio(self):
         tracker = HealthTracker(monitors=[WeightDegeneracyMonitor()])
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         rec.progress("likelihood-weighting", 1000, 2000, ess=3.0)
         assert [w.kind for w in tracker.warnings] == ["weight-degeneracy"]
 
     def test_quiet_on_healthy_ess(self):
         tracker = HealthTracker(monitors=[WeightDegeneracyMonitor()])
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         rec.progress("likelihood-weighting", 1000, 2000, ess=700.0)
         assert tracker.warnings == []
 
@@ -120,13 +132,13 @@ class TestWeightDegeneracy:
 class TestResampleStorm:
     def test_fires_when_every_barrier_resamples(self):
         tracker = HealthTracker(monitors=[ResampleStormMonitor()])
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         rec.progress("smc", 50, 100, live=100, barriers=10, resamples=10)
         assert [w.kind for w in tracker.warnings] == ["resample-storm"]
 
     def test_quiet_below_rate_or_sample_size(self):
         tracker = HealthTracker(monitors=[ResampleStormMonitor()])
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         rec.progress("smc", 50, 100, live=100, barriers=4, resamples=4)
         assert tracker.warnings == []  # too few barriers to judge
         rec.progress("smc", 60, 100, live=100, barriers=10, resamples=5)
@@ -137,11 +149,8 @@ class TestStall:
     def test_fires_on_idle_unfinished_source(self):
         clock = {"t": 0.0}
         tracker = HealthTracker(monitors=[StallMonitor(deadline=5.0)])
-        rec = SnapshotRecorder(
-            cadence=0.0,
-            health=None,
-            subscribers=[tracker],
-            clock=lambda: clock["t"],
+        rec = TraceRecorder(
+            cadence=0.0, subscribers=[tracker], clock=lambda: clock["t"]
         )
         rec.progress("r2-mh", 100, 1000, accept_rate=0.5)
         clock["t"] = 10.0
@@ -151,11 +160,8 @@ class TestStall:
     def test_finished_sources_never_stall(self):
         clock = {"t": 0.0}
         tracker = HealthTracker(monitors=[StallMonitor(deadline=5.0)])
-        rec = SnapshotRecorder(
-            cadence=0.0,
-            health=None,
-            subscribers=[tracker],
-            clock=lambda: clock["t"],
+        rec = TraceRecorder(
+            cadence=0.0, subscribers=[tracker], clock=lambda: clock["t"]
         )
         rec.progress("r2-mh", 1000, 1000, accept_rate=0.5)
         clock["t"] = 60.0
@@ -264,7 +270,7 @@ class TestTrackerLifecycle:
         fired = []
         tracker = HealthTracker(monitors=[AcceptanceCollapseMonitor()])
         tracker.on_warning(fired.append)
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 500, 1000, 0.05)
         assert [w.kind for w in fired] == ["acceptance-collapse"]
 
@@ -280,7 +286,7 @@ class TestTrackerLifecycle:
 
     def test_finalize_is_recallable(self):
         tracker = HealthTracker(monitors=[AcceptanceCollapseMonitor()])
-        rec = SnapshotRecorder(cadence=0.0, health=None, subscribers=[tracker])
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         _mh_progress(rec, 500, 1000, 0.05)
         r1 = tracker.finalize(None, elapsed=1.0)
         r2 = tracker.finalize(None, elapsed=1.0)
@@ -294,14 +300,15 @@ class TestRealPrograms:
     documented (sliced BLR's 0.206 acceptance) and nothing else."""
 
     def _run(self, program, n=800):
-        rec = SnapshotRecorder(cadence=0.0)
+        tracker = HealthTracker()
+        rec = TraceRecorder(cadence=0.0, subscribers=[tracker])
         engine = MetropolisHastings(
             n_samples=n, burn_in=100, seed=0, compiled=True
         )
         with use_recorder(rec):
             out = engine.infer(program)
         rec.publish()
-        return rec.health.finalize(out)
+        return tracker.finalize(out)
 
     def test_sliced_blr_flags_acceptance_collapse(self):
         program = lookup("BayesianLinearRegression").bench()

@@ -1,5 +1,5 @@
-"""The live telemetry layer: ring buffers, registry, snapshots, the
-SnapshotRecorder composition, and both wire formats."""
+"""The live telemetry layer: the recorder's bounded series, snapshot
+publication and worker merge, and both wire formats."""
 
 import io
 import json
@@ -18,14 +18,13 @@ from repro.inference import (
 )
 from repro.obs import (
     Snapshot,
-    SnapshotRecorder,
     SnapshotStreamWriter,
     TraceRecorder,
     snapshot_to_prometheus,
     use_recorder,
 )
-from repro.obs.export import write_jsonl
-from repro.obs.live import MetricsRegistry, TimeSeries
+from repro.obs.export import write_chrome_trace, write_jsonl
+from repro.obs.recorder import SERIES_CAPACITY, SERIES_TAIL
 
 MODEL = parse(
     """
@@ -38,70 +37,85 @@ return p;
 )
 
 
-class TestTimeSeries:
-    def test_ring_drops_oldest(self):
-        ts = TimeSeries(capacity=3)
-        for i in range(5):
-            ts.append(float(i), float(i * 10))
-        assert ts.points() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-        assert len(ts) == 3
+def _publishing(**kwargs):
+    """A recorder with one do-nothing subscriber, so it publishes."""
+    kwargs.setdefault("cadence", 0.0)
+    return TraceRecorder(subscribers=[lambda snapshot: None], **kwargs)
 
-    def test_tail_and_window(self):
-        ts = TimeSeries(capacity=10)
-        for i in range(6):
-            ts.append(float(i), float(i))
-        assert ts.tail(2) == [(4.0, 4.0), (5.0, 5.0)]
-        assert ts.tail(100) == ts.points()
-        assert ts.window(4.0) == [(4.0, 4.0), (5.0, 5.0)]
-        assert ts.last() == (5.0, 5.0)
 
-    def test_capacity_validation(self):
+class TestSeries:
+    def test_ring_keeps_the_newest_points(self):
+        rec = _publishing()
+        for _ in range(SERIES_CAPACITY + 44):
+            rec.counter("c")
+        points = rec.series["c"]
+        assert len(points) == SERIES_CAPACITY
+        assert points[0][1] == 45 and points[-1][1] == SERIES_CAPACITY + 44
+
+    def test_snapshot_carries_the_tail(self):
+        rec = _publishing()
+        for _ in range(SERIES_TAIL + 10):
+            rec.counter("c")
+        series = rec.snapshots[-1].series["c"]
+        assert len(series) == SERIES_TAIL
+        assert [v for _, v in series] == list(range(11, SERIES_TAIL + 11))
+
+    def test_cadence_validation(self):
         with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
+            TraceRecorder(cadence=-1.0)
 
 
-class TestMetricsRegistry:
+class TestStore:
     def test_counters_sum_and_sample(self):
-        reg = MetricsRegistry(capacity=8)
-        reg.bump_counter("c", 2)
-        reg.bump_counter("c", 3)
-        reg.set_gauge("g", 1.5)
-        reg.observe("h", 2.0)
-        reg.observe("h", 4.0)
-        reg.sample(t=1.0)
-        assert reg.counters["c"] == 5
-        assert reg.series["c"].points() == [(1.0, 5)]
-        assert reg.series["g"].points() == [(1.0, 1.5)]
-        h = reg.histograms["h"].to_dict()
+        clock = {"t": 0.0}
+        rec = _publishing(cadence=3600.0, clock=lambda: clock["t"])
+        rec.counter("c", 2)  # first event publishes: t=0
+        rec.counter("c", 3)
+        rec.gauge("g", 1.5)
+        rec.histogram("h", 2.0)
+        rec.histogram("h", 4.0)
+        clock["t"] = 1.0
+        rec.publish()
+        assert rec.counters["c"] == 5
+        assert list(rec.series["c"]) == [(0.0, 2), (1.0, 5)]
+        assert list(rec.series["g"]) == [(1.0, 1.5)]
+        h = rec.histograms["h"].to_dict()
         assert h == {"count": 2, "sum": 6.0, "min": 2.0, "max": 4.0}
 
     def test_merge_prefixes_worker_state(self):
-        parent = MetricsRegistry()
-        parent.bump_counter("c", 1)
-        child = MetricsRegistry()
-        child.bump_counter("c", 2)
-        child.set_gauge("g", 7.0)
-        child.observe("h", 1.0)
-        child.note_progress("mh", 10, 20, {"accept_rate": 0.5}, t=0.5)
-        child.sample(t=0.5)
-        parent.merge(child.to_payload(), offset=100.0, worker=3)
+        parent = TraceRecorder()
+        parent.counter("c", 1)
+        child = _publishing(worker=3, clock=lambda: 0.5)
+        child.epoch = parent.epoch + 100.0
+        child.counter("c", 2)
+        child.gauge("g", 7.0)
+        child.histogram("h", 1.0)
+        child.progress("mh", 10, 20, accept_rate=0.5)
+        parent.merge_child(child.to_payload())
         assert parent.counters["c"] == 3  # counters sum unprefixed
         assert parent.gauges["w3/g"] == 7.0
+        assert parent.gauges["w3/progress.mh.done"] == 10
+        assert "g" not in parent.gauges
         assert parent.histograms["h"].count == 1
-        prog = parent.progress["w3/mh"]
+        prog = parent.progress_state["w3/mh"]
         assert prog["done"] == 10 and prog["total"] == 20
-        assert prog["t"] == pytest.approx(100.5)  # epoch-rebased
-        assert parent.series["w3/c"].points() == [(100.5, 2)]
+        assert prog["t"] == pytest.approx(100.0)  # epoch-rebased
+        # One point per publication: four events at cadence 0.
+        assert list(parent.series["w3/c"]) == [(100.0, 2)] * 4
 
-    def test_merge_none_payload_is_noop(self):
-        reg = MetricsRegistry()
-        reg.merge(None)
-        assert reg.counters == {}
+    def test_unindexed_payload_merges_unprefixed(self):
+        parent = TraceRecorder()
+        plain = TraceRecorder()
+        plain.counter("c", 1)
+        plain.gauge("g", 2.0)
+        parent.merge_child(plain.to_payload())
+        assert parent.counters["c"] == 1
+        assert parent.gauges == {"g": 2.0}
 
 
 class TestSnapshotWire:
     def test_round_trip(self):
-        rec = SnapshotRecorder(cadence=0.0)
+        rec = _publishing()
         rec.counter("a", 2)
         rec.progress("mh", 5, 10, accept_rate=0.4)
         snap = rec.publish()
@@ -112,7 +126,7 @@ class TestSnapshotWire:
         assert clone.worker is None
 
     def test_wire_is_json_clean(self):
-        rec = SnapshotRecorder(cadence=0.0)
+        rec = _publishing()
         rec.gauge("bad", float("nan"))
         rec.gauge("worse", float("inf"))
         snap = rec.publish()
@@ -124,7 +138,7 @@ class TestSnapshotWire:
     def test_stream_writer_counts_and_flushes(self):
         buf = io.StringIO()
         writer = SnapshotStreamWriter(buf)
-        rec = SnapshotRecorder(cadence=0.0, subscribers=[writer])
+        rec = TraceRecorder(cadence=0.0, subscribers=[writer])
         rec.counter("x")
         rec.counter("x")
         assert writer.n_written == rec.n_published >= 2
@@ -135,7 +149,7 @@ class TestSnapshotWire:
     def test_stream_writer_owns_files(self, tmp_path):
         path = tmp_path / "snap.ndjson"
         writer = SnapshotStreamWriter(str(path))
-        rec = SnapshotRecorder(cadence=0.0, subscribers=[writer])
+        rec = TraceRecorder(cadence=0.0, subscribers=[writer])
         rec.counter("x")
         writer.close()
         assert json.loads(path.read_text().splitlines()[0])["counters"] == {
@@ -147,7 +161,7 @@ class TestSnapshotWire:
 
         path = tmp_path / "snap.ndjson"
         writer = SnapshotStreamWriter(str(path))
-        rec = SnapshotRecorder(cadence=0.0, subscribers=[writer], worker=1)
+        rec = TraceRecorder(cadence=0.0, subscribers=[writer], worker=1)
         with use_recorder(rec):
             MetropolisHastings(n_samples=50, burn_in=10, seed=0).infer(MODEL)
         rec.publish()
@@ -162,10 +176,10 @@ class TestSnapshotWire:
         assert validate_jsonl(str(path), schema="snapshot") != []
 
 
-class TestSnapshotRecorder:
+class TestPublication:
     def test_cadence_throttles_publication(self):
         clock = {"t": 0.0}
-        rec = SnapshotRecorder(cadence=1.0, clock=lambda: clock["t"])
+        rec = _publishing(cadence=1.0, clock=lambda: clock["t"])
         rec.counter("c")  # first event always publishes
         rec.counter("c")
         rec.counter("c")
@@ -176,71 +190,56 @@ class TestSnapshotRecorder:
         assert rec.snapshots[-1].counters["c"] == 4
 
     def test_publish_is_unconditional(self):
-        rec = SnapshotRecorder(cadence=3600.0)
+        rec = _publishing(cadence=3600.0)
         rec.counter("c")
         before = rec.n_published
         rec.publish()
         assert rec.n_published == before + 1
 
-    def test_delegates_to_inner_trace(self):
-        inner = TraceRecorder()
-        rec = SnapshotRecorder(inner=inner, cadence=0.0)
-        with rec.span("stage", kind="test"):
+    def test_no_subscriber_publishes_nothing(self):
+        rec = TraceRecorder(cadence=0.0)
+        with rec.span("stage"):
             rec.counter("c", 2)
             rec.gauge("g", 1.0)
             rec.histogram("h", 5.0)
         rec.progress("mh", 3, 9, accept_rate=0.2)
-        assert inner.counters["c"] == 2
-        assert inner.gauges["g"] == 1.0
-        assert [s.name for s in inner.spans] == ["stage"]
-        assert inner.progress_events[-1]["source"] == "mh"
-        # Post-hoc queries fall through to the inner recorder.
-        assert rec.counters["c"] == 2
+        assert rec.publish() is None
+        assert rec.n_published == 0 and not rec.snapshots
+        assert rec.series == {}
+        # ... while the store itself still holds everything.
+        assert rec.counters["c"] == 2 and rec.gauges["g"] == 1.0
+        assert rec.progress_state["mh"]["done"] == 3
         assert rec.find_spans("stage")
 
-    def test_progress_mirrors_into_registry(self):
-        rec = SnapshotRecorder(cadence=0.0)
+    def test_progress_state_in_snapshot(self):
+        rec = _publishing()
         rec.progress("mh", 64, 128, accept_rate=0.75)
         snap = rec.snapshots[-1]
         assert snap.progress["mh"]["done"] == 64
         assert snap.gauges["progress.mh.accept_rate"] == 0.75
         assert snap.gauges["progress.mh.done"] == 64
 
-    def test_subscribe_and_worker_ingest(self):
+    def test_worker_snapshot_reaches_subscribers_unmerged(self):
         seen = []
-        rec = SnapshotRecorder(cadence=0.0, subscribers=[seen.append])
-        worker = SnapshotRecorder(cadence=0.0, worker=2, health=None)
+        rec = TraceRecorder(cadence=0.0, subscribers=[seen.append])
+        worker = _publishing(worker=2)
         worker.progress("mh", 10, 20, accept_rate=0.9)
         rec.ingest_worker_snapshot(worker.snapshots[-1].to_dict())
-        assert rec.worker_snapshots[2].progress["mh"]["done"] == 10
         assert seen and seen[-1].worker == 2
+        assert seen[-1].progress["mh"]["done"] == 10
+        assert rec.progress_state == {}  # merged only from the payload
 
-    def test_wants_live_ignores_health_tracker(self):
-        rec = SnapshotRecorder(cadence=0.0)
-        assert rec.health is not None
-        assert not rec.wants_live
-        rec.subscribe(lambda snap: None)
-        assert rec.wants_live
-
-    def test_merge_child_folds_live_payload(self):
-        parent = SnapshotRecorder(cadence=0.0)
-        worker = SnapshotRecorder(cadence=0.0, worker=0, health=None)
+    def test_merge_child_folds_worker_payload(self):
+        parent = _publishing()
+        worker = TraceRecorder(worker=0)
         with worker.span("worker", worker=0, engine="mh", pid=1):
             worker.counter("engine.samples", 40)
             worker.progress("mh", 40, 40, accept_rate=0.5)
         parent.merge_child(worker.to_payload())
-        # Trace half merged (span + counter), live half merged
-        # (prefixed progress).
         assert parent.counters["engine.samples"] == 40
         assert parent.find_spans("worker")
-        assert parent.registry.progress["w0/mh"]["done"] == 40
-
-    def test_merge_child_tolerates_plain_trace_payload(self):
-        parent = SnapshotRecorder(cadence=0.0)
-        plain = TraceRecorder()
-        plain.counter("c", 1)
-        parent.merge_child(plain.to_payload())  # no "live" key
-        assert parent.counters["c"] == 1
+        assert parent.progress_state["w0/mh"]["done"] == 40
+        assert parent.publish().progress["w0/mh"]["done"] == 40
 
 
 def _scripted_workload(rec):
@@ -256,37 +255,34 @@ def _scripted_workload(rec):
 
 
 class TestJsonlByteIdentical:
-    def test_composition_preserves_jsonl_bytes(self, tmp_path, monkeypatch):
-        """PR 3's JSONL export must be byte-identical with the live
-        layer composed in.  Clocks are frozen so both recorders see the
-        same timeline; everything else (structure, values, ordering)
-        must then match to the byte."""
+    def test_subscribers_leave_exports_unchanged(self, tmp_path, monkeypatch):
+        """Publishing only reads the store: one recorder exports the
+        same JSONL and Chrome bytes with and without subscribers.
+        Clocks are frozen so both recorders see the same timeline;
+        everything else (structure, values, ordering) must then match
+        to the byte."""
         monkeypatch.setattr(time, "time", lambda: 1_700_000_000.0)
         monkeypatch.setattr(time, "perf_counter", lambda: 42.0)
         monkeypatch.setattr(time, "process_time", lambda: 7.0)
 
+        def exports(rec):
+            jsonl, chrome = io.StringIO(), io.StringIO()
+            write_jsonl(rec, jsonl)
+            write_chrome_trace(rec, chrome)
+            return jsonl.getvalue(), chrome.getvalue()
+
         baseline = TraceRecorder()
         _scripted_workload(baseline)
-        base_path = tmp_path / "base.jsonl"
-        write_jsonl(baseline, str(base_path))
-
-        inner = TraceRecorder()
-        composed = SnapshotRecorder(
-            inner=inner, cadence=0.0, clock=lambda: 0.0
+        seen = []
+        live = TraceRecorder(
+            cadence=0.0, subscribers=[seen.append], clock=lambda: 0.0
         )
-        _scripted_workload(composed)
-        composed.publish()
-        live_path = tmp_path / "live.jsonl"
-        write_jsonl(inner, str(live_path))
-        assert base_path.read_bytes() == live_path.read_bytes()
+        _scripted_workload(live)
+        live.publish()
+        assert len(seen) == 7
+        assert exports(live) == exports(baseline)
 
-        # The wrapper itself also exports identically (attribute
-        # delegation): a driver can hand either object to write_trace.
-        via_wrapper = tmp_path / "wrapper.jsonl"
-        write_jsonl(composed, str(via_wrapper))
-        assert via_wrapper.read_bytes() == base_path.read_bytes()
-
-    def test_composition_engine_run_structurally_identical(self):
+    def test_engine_run_structurally_identical(self):
         """On a real engine run (no clock mocking), the recorded trace
         *structure* — span names, counters, progress event sequence —
         is unchanged by live telemetry."""
@@ -296,19 +292,20 @@ class TestJsonlByteIdentical:
                 MetropolisHastings(n_samples=60, burn_in=10, seed=1).infer(
                     MODEL
                 )
+            return recorder
 
-        plain = TraceRecorder()
-        run(plain)
-        inner = TraceRecorder()
-        run(SnapshotRecorder(inner=inner, cadence=0.0))
-        assert plain.counters == inner.counters
+        plain = run(TraceRecorder())
+        live = run(_publishing())
+        assert live.n_published > 0
+        assert plain.counters == live.counters
+        assert plain.gauges.keys() == live.gauges.keys()
         assert [s.name for s in plain.iter_spans()] == [
-            s.name for s in inner.iter_spans()
+            s.name for s in live.iter_spans()
         ]
         strip = lambda events: [
             (e["source"], e["done"], e["total"]) for e in events
         ]
-        assert strip(plain.progress_events) == strip(inner.progress_events)
+        assert strip(plain.progress_events) == strip(live.progress_events)
 
 
 ENGINES = [
@@ -329,7 +326,7 @@ class TestEveryEngineSnapshots:
         each report publishes, and the engine appears as a progress
         source from its very first (baseline, done=0-or-later)
         report."""
-        rec = SnapshotRecorder(cadence=0.0)
+        rec = _publishing()
         with use_recorder(rec):
             engine.infer(MODEL)
         assert rec.n_published >= 1
@@ -346,7 +343,7 @@ class TestEveryEngineSnapshots:
         magnitude as the cadence (engine reports arrive every few
         hundred microseconds, so a 25ms cadence is never starved)."""
         cadence = 0.025
-        rec = SnapshotRecorder(cadence=cadence)
+        rec = _publishing(cadence=cadence)
         engine = MetropolisHastings(n_samples=4000, burn_in=100, seed=0)
         with use_recorder(rec):
             engine.infer(MODEL)
@@ -361,7 +358,7 @@ class TestEveryEngineSnapshots:
 
 class TestPrometheus:
     def test_exposition_format(self):
-        rec = SnapshotRecorder(cadence=0.0, worker=None)
+        rec = _publishing()
         rec.counter("engine.samples", 128)
         rec.gauge("cache.size", 3.0)
         rec.histogram("chunk", 2.0)
@@ -377,7 +374,7 @@ class TestPrometheus:
         assert text.endswith("\n")
 
     def test_worker_label(self):
-        rec = SnapshotRecorder(cadence=0.0, worker=2, health=None)
+        rec = _publishing(worker=2)
         rec.counter("c", 1)
         rec.progress("mh", 1, 2)
         text = snapshot_to_prometheus(rec.publish())
@@ -385,7 +382,7 @@ class TestPrometheus:
         assert 'repro_progress_done{source="mh",worker="2"} 1' in text
 
     def test_skips_unrenderable_values(self):
-        rec = SnapshotRecorder(cadence=0.0)
+        rec = _publishing()
         rec.gauge("label", "not-a-number")
         text = snapshot_to_prometheus(rec.publish())
         assert "label" not in text
@@ -422,9 +419,7 @@ class TestSnapshotSinkContract:
         """Cadence 0 = every event publishes; every publish reaches
         the sink.  Deterministic: frozen clock, counted delivery."""
         t = [1000.0]
-        rec = SnapshotRecorder(
-            cadence=0, subscribers=[sink], health=None, clock=lambda: t[0]
-        )
+        rec = TraceRecorder(cadence=0, subscribers=[sink], clock=lambda: t[0])
         for _ in range(5):
             rec.counter("mh.steps")
         rec.publish()  # finalize
@@ -436,9 +431,8 @@ class TestSnapshotSinkContract:
         explicit finalize publish() bypasses the throttle and the
         sink always retains it as last_snapshot."""
         t = [1000.0]
-        rec = SnapshotRecorder(
-            cadence=3600.0, subscribers=[sink], health=None,
-            clock=lambda: t[0],
+        rec = TraceRecorder(
+            cadence=3600.0, subscribers=[sink], clock=lambda: t[0]
         )
         rec.counter("a")   # first event publishes
         rec.counter("a")   # throttled
@@ -468,7 +462,7 @@ class TestSnapshotSinkContract:
         assert sink.closed
 
     def test_last_snapshot_updates_even_after_close(self, sink):
-        rec = SnapshotRecorder(cadence=0, subscribers=[], health=None)
+        rec = _publishing()
         rec.counter("x")
         snap = rec.publish()
         sink.close()
@@ -487,9 +481,7 @@ class TestSnapshotSinkContract:
         watch = WatchDashboard(
             stream=buf, force=True, min_interval=1e9, clock=lambda: t[0]
         )
-        rec = SnapshotRecorder(
-            cadence=0, subscribers=[watch], health=None, clock=lambda: t[0]
-        )
+        rec = TraceRecorder(cadence=0, subscribers=[watch], clock=lambda: t[0])
         rec.progress("mh", 10, 100)
         assert watch.n_renders == 1  # first render always lands
         rec.progress("mh", 99, 100)
@@ -507,9 +499,7 @@ class TestSnapshotSinkContract:
         frames = []
         writer = SnapshotStreamWriter(buf)
         bridge = SnapshotBridge(emit=lambda kind, data: frames.append(data))
-        rec = SnapshotRecorder(
-            cadence=0, subscribers=[writer, bridge], health=None
-        )
+        rec = TraceRecorder(cadence=0, subscribers=[writer, bridge])
         rec.counter("c", 2)
         rec.progress("mh", 5, 10)
         rec.publish()

@@ -112,6 +112,22 @@ class TestAcrossBackends:
         sources = {e["source"] for e in recorder.progress_events}
         assert engine.name in sources
 
+    def test_each_worker_keeps_its_gauges(self, backend):
+        # Gauges are per-worker state: worker i's land under w<i>/,
+        # none under the bare name (last write would win there).
+        engine = MetropolisHastings(n_samples=40, burn_in=5, seed=3)
+        recorder, _ = _traced_run(engine, 2, backend)
+        done = {
+            name: value
+            for name, value in recorder.gauges.items()
+            if name.endswith("progress.r2-mh.done")
+        }
+        assert set(done) == {
+            "w0/progress.r2-mh.done",
+            "w1/progress.r2-mh.done",
+        }
+        assert all(value >= 20 for value in done.values())
+
 
 class TestMergeDetails:
     def test_worker_pids_differ_under_processes(self):

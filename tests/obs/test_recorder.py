@@ -103,11 +103,13 @@ class TestMetrics:
         rec.gauge("rate", 0.9)
         assert rec.gauges["rate"] == 0.9
 
-    def test_histogram_collects_values(self):
+    def test_histogram_keeps_a_summary(self):
         rec = TraceRecorder()
-        for v in (1.0, 2.0, 3.0):
+        for v in (1.0, 3.0, 2.0):
             rec.histogram("lat", v)
-        assert rec.histograms["lat"] == [1.0, 2.0, 3.0]
+        assert rec.histograms["lat"].to_dict() == {
+            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
+        }
 
     def test_progress_mirrors_to_gauges_and_callback(self):
         seen = []
@@ -142,8 +144,10 @@ class TestMerge:
         payload = self._child(epoch_shift=shift).to_payload()
         parent.merge_child(payload)
         assert parent.counters["n"] == 6
-        assert parent.gauges["g"] == 1.5
-        assert parent.histograms["h"] == [2.0]
+        assert parent.gauges["g"] == 1.5  # the child has no worker index
+        assert parent.histograms["h"].to_dict() == {
+            "count": 1, "sum": 2.0, "min": 2.0, "max": 2.0,
+        }
         worker = parent.find_spans("worker")[0]
         assert worker.children[0].name == "chunk"
         # The child's timeline moved onto the parent's epoch.

@@ -1,10 +1,10 @@
 """Snapshot aggregation across process boundaries.
 
-PR 8 satellite criterion: a parallel run under a SnapshotRecorder must
-merge worker telemetry into the same registry state regardless of the
-backend that scheduled the work — fork / spawn / forkserver workers
-and the inline backend all land identical counters and per-worker
-progress (times differ; values must not)."""
+A parallel run under a publishing recorder must merge worker telemetry
+into the same store state regardless of the backend that scheduled the
+work — fork / spawn / forkserver workers and the inline backend all
+land identical counters and per-worker progress (times differ; values
+must not)."""
 
 import multiprocessing
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.parser import parse
 from repro.inference import LikelihoodWeighting, MetropolisHastings
-from repro.obs import SnapshotRecorder, use_recorder
+from repro.obs import TraceRecorder, use_recorder
 from repro.runtime import ParallelRunner
 
 BACKENDS = ["inline"] + multiprocessing.get_all_start_methods()
@@ -30,8 +30,8 @@ return p;
 N_WORKERS = 2
 
 
-def _live_run(engine, backend, subscribers=()):
-    recorder = SnapshotRecorder(cadence=0.0, subscribers=list(subscribers))
+def _live_run(engine, backend, subscribers=(lambda snapshot: None,)):
+    recorder = TraceRecorder(cadence=0.0, subscribers=list(subscribers))
     with use_recorder(recorder):
         result = ParallelRunner(n_workers=N_WORKERS, backend=backend).run(
             engine, MODEL
@@ -40,45 +40,45 @@ def _live_run(engine, backend, subscribers=()):
     return recorder, result
 
 
-def _registry_state(recorder):
-    """The backend-independent view of a merged registry: counter
-    sums, and per-source progress done/total (no timestamps)."""
-    reg = recorder.registry
+def _store_state(recorder):
+    """The backend-independent view of a merged store: counter sums,
+    and per-source progress done/total (no timestamps)."""
     progress = {
         key: (state["done"], state["total"])
-        for key, state in reg.progress.items()
+        for key, state in recorder.progress_state.items()
     }
-    return dict(reg.counters), progress
+    return dict(recorder.counters), progress
 
 
 class TestMergeAcrossBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mh_registry_state_matches_inline(self, backend):
+    def test_mh_store_state_matches_inline(self, backend):
         engine = MetropolisHastings(n_samples=256, burn_in=32, seed=3)
         baseline, _ = _live_run(engine, "inline")
         recorder, result = _live_run(engine, backend)
-        assert _registry_state(recorder) == _registry_state(baseline)
+        assert _store_state(recorder) == _store_state(baseline)
         assert len(result.samples) == 256
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lw_registry_state_matches_inline(self, backend):
+    def test_lw_store_state_matches_inline(self, backend):
         engine = LikelihoodWeighting(n_samples=512, seed=5)
         baseline, _ = _live_run(engine, "inline")
         recorder, _ = _live_run(engine, backend)
-        assert _registry_state(recorder) == _registry_state(baseline)
+        assert _store_state(recorder) == _store_state(baseline)
 
     def test_worker_progress_is_prefixed_and_complete(self):
         engine = MetropolisHastings(n_samples=256, burn_in=32, seed=3)
         recorder, _ = _live_run(engine, "inline")
-        sources = set(recorder.registry.progress)
+        sources = set(recorder.progress_state)
         assert sources == {f"w{i}/{engine.name}" for i in range(N_WORKERS)}
-        for state in recorder.registry.progress.values():
+        for state in recorder.progress_state.values():
             assert state["done"] >= state["total"]
+        final = recorder.snapshots[-1]
+        assert set(final.progress) == sources
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trace_half_still_merges(self, backend):
-        """Composition: the SnapshotRecorder's inner TraceRecorder
-        still receives the PR 4 worker span merge untouched."""
+    def test_worker_spans_still_merge(self, backend):
+        """Publishing leaves the worker span merge untouched."""
         engine = MetropolisHastings(n_samples=128, burn_in=16, seed=1)
         recorder, _ = _live_run(engine, backend)
         workers = recorder.find_spans("worker")
@@ -89,28 +89,34 @@ class TestMergeAcrossBackends:
 
 class TestInFlightSnapshots:
     def test_inline_backend_streams_worker_snapshots(self):
-        """With a live subscriber attached, worker snapshots arrive
-        *during* the run (via the inline sink) tagged with their
-        worker index, and the parent keeps the latest per worker."""
+        """With a subscriber attached, worker snapshots arrive *during*
+        the run (via the inline sink) tagged with their worker index;
+        each worker's last one carries its final progress."""
         seen = []
         engine = MetropolisHastings(n_samples=256, burn_in=32, seed=3)
         recorder, _ = _live_run(engine, "inline", subscribers=[seen.append])
         worker_ids = {s.worker for s in seen if s.worker is not None}
         assert worker_ids == set(range(N_WORKERS))
-        assert set(recorder.worker_snapshots) == set(range(N_WORKERS))
-        final = recorder.worker_snapshots[0]
-        assert engine.name in final.progress
+        last = [s for s in seen if s.worker == 0][-1]
+        assert last.progress[engine.name]["done"] >= 128
+        # In-flight snapshots reach subscribers only; the store holds
+        # the merged payloads, once.
+        assert set(recorder.progress_state) == {
+            f"w{i}/{engine.name}" for i in range(N_WORKERS)
+        }
 
     def test_no_subscribers_means_no_streaming_plumbing(self):
-        """Without live subscribers the runner must not pay for a
-        manager queue: worker snapshots only land via the end-of-run
+        """Without subscribers no worker publishes and the runner pays
+        for no sink: worker telemetry only lands via the end-of-run
         payload merge."""
         engine = MetropolisHastings(n_samples=64, burn_in=8, seed=1)
-        recorder, _ = _live_run(engine, "inline")
-        assert not recorder.wants_live
-        assert recorder.worker_snapshots == {}
-        # ... but the merged registry still has their telemetry.
-        assert recorder.registry.progress
+        recorder, _ = _live_run(engine, "inline", subscribers=())
+        assert recorder.n_published == 0
+        assert recorder.series == {}
+        # ... but the merged store still has their telemetry.
+        assert set(recorder.progress_state) == {
+            f"w{i}/{engine.name}" for i in range(N_WORKERS)
+        }
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

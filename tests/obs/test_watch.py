@@ -3,7 +3,7 @@ two PR 8 satellite fixes (total==0 rendering, terminal-event flush)."""
 
 import io
 
-from repro.obs import SnapshotRecorder, WatchDashboard
+from repro.obs import TraceRecorder, WatchDashboard
 from repro.obs.health import HealthWarning
 from repro.obs.progress import ProgressLine
 
@@ -15,7 +15,7 @@ class _TtyStringIO(io.StringIO):
 
 def _snapshot(**progress_states):
     """Build a snapshot carrying the given progress states."""
-    rec = SnapshotRecorder(cadence=0.0, health=None)
+    rec = TraceRecorder(cadence=3600.0, subscribers=[lambda snapshot: None])
     for source, (done, total, metrics) in progress_states.items():
         rec.progress(source, done, total, **metrics)
     return rec.publish()
@@ -88,9 +88,8 @@ class TestWatchDashboard:
 
     def test_worker_snapshots_get_worker_rows(self):
         watch = WatchDashboard(stream=io.StringIO(), force=True)
-        rec = SnapshotRecorder(cadence=0.0, worker=3, health=None)
+        rec = TraceRecorder(cadence=0.0, subscribers=[watch], worker=3)
         rec.progress("r2-mh", 5, 10)
-        watch(rec.snapshots[-1])
         assert set(watch.rows()) == {"w3/r2-mh"}
 
     def test_total_zero_row(self):

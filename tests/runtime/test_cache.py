@@ -8,6 +8,7 @@ import pytest
 from repro.core.fingerprint import program_fingerprint
 from repro.core.parser import parse
 from repro.core.printer import pretty
+from repro.models import TABLE1
 from repro.obs import TraceRecorder, use_recorder
 from repro.runtime import ProgramCache
 from repro.semantics.compiled import clear_compile_cache
@@ -92,6 +93,28 @@ class TestMemoryLayer:
         assert cache.compiled(ex2) is first
         assert cache.stats.compile_misses == 1
         assert cache.stats.compile_hits == 1
+
+    @pytest.mark.parametrize("spec", TABLE1, ids=lambda spec: spec.name)
+    def test_slice_renders_the_program_once(self, spec, monkeypatch):
+        """A ``slice`` call prints the program once, for its flight
+        key, cold or warm: the lookups inside ``sli`` reuse that text
+        (a warm lookup used to print it twice, a cold one three times)."""
+        import repro.core.fingerprint as fingerprint
+
+        program = spec.bench()
+        twin = parse(pretty(program))  # equal, not the same object
+        renders = []
+        render = fingerprint.pretty
+        monkeypatch.setattr(
+            fingerprint, "pretty", lambda obj: renders.append(obj) or render(obj)
+        )
+        cache = ProgramCache()
+        cache.slice(program)
+        assert renders == [program]
+        renders.clear()
+        cache.slice(twin)
+        assert renders == [twin]
+        assert cache.stats.slice_hits == 1
 
 
 class TestDiskLayer:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.inference.base import InferenceCancelled
-from repro.obs.live import SnapshotRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.serve.jobs import Event, EventLog
 from repro.serve.sse import SnapshotBridge, format_comment, format_event
 from repro.serve.testing import FrozenClock
@@ -170,9 +170,7 @@ class TestSnapshotBridge:
         emitted = []
         bridge = SnapshotBridge(emit=lambda k, d: emitted.append((k, d)))
         clock = FrozenClock()
-        recorder = SnapshotRecorder(
-            cadence=0, subscribers=[bridge], health=None, clock=clock
-        )
+        recorder = TraceRecorder(cadence=0, subscribers=[bridge], clock=clock)
         recorder.counter("mh.steps")
         recorder.counter("mh.steps")
         recorder.publish()  # the finalize-time snapshot
@@ -189,8 +187,8 @@ class TestSnapshotBridge:
         emitted = []
         bridge = SnapshotBridge(emit=lambda k, d: emitted.append(d))
         clock = FrozenClock()
-        recorder = SnapshotRecorder(
-            cadence=100.0, subscribers=[bridge], health=None, clock=clock
+        recorder = TraceRecorder(
+            cadence=100.0, subscribers=[bridge], clock=clock
         )
         recorder.counter("a")  # first event always publishes
         recorder.counter("a")  # throttled
@@ -206,9 +204,8 @@ class TestSnapshotBridge:
             emit=lambda k, d: None,
             should_cancel=lambda: cancelled["flag"],
         )
-        recorder = SnapshotRecorder(
-            cadence=0, subscribers=[bridge], health=None,
-            clock=FrozenClock(),
+        recorder = TraceRecorder(
+            cadence=0, subscribers=[bridge], clock=FrozenClock()
         )
         recorder.counter("ok")  # forwards fine
         cancelled["flag"] = True
