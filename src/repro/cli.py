@@ -328,7 +328,7 @@ def _run_inference(args, result, cache, health=None) -> int:
     :class:`~repro.obs.health.HealthTracker` subscribed to the live
     recorder, if any."""
     from .inference.base import InferenceError
-    from .inference.diagnostics import cross_chain_diagnostics
+    from .metrics.online import cross_chain_diagnostics
     from .runtime import ParallelRunner
 
     from .obs import current_recorder

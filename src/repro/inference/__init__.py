@@ -9,15 +9,14 @@ from .base import (
     InferenceTimeout,
     InitializationError,
     UnsupportedProgramError,
-    effective_sample_size,
     split_evenly,
 )
-from .diagnostics import (
+from ..metrics.online import (
     ChainSummary,
     autocorrelation,
     cross_chain_diagnostics,
+    effective_sample_size,
     split_r_hat,
-    summarize_chains,
 )
 from .enumeration import EnumerationEngine
 from .gibbs import GibbsSampler
@@ -47,7 +46,6 @@ __all__ = [
     "autocorrelation",
     "cross_chain_diagnostics",
     "split_r_hat",
-    "summarize_chains",
     "EnumerationEngine",
     "GibbsSampler",
     "LikelihoodWeighting",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -10,6 +9,7 @@ import random
 from typing import TYPE_CHECKING
 
 from ..core.ast import Program
+from ..metrics.online import effective_sample_size  # noqa: F401  (import path kept for callers)
 from ..semantics.distribution import FiniteDist
 from ..semantics.executor import ExecutorOptions, RunResult, run_program
 from ..semantics.values import Value
@@ -331,27 +331,3 @@ class Engine:
         current_recorder().counter(f"vectorized.used.{self.name}")
         return vectorized
 
-
-def effective_sample_size(samples: Sequence[float], max_lag: int = 200) -> float:
-    """ESS via the initial-positive-sequence autocorrelation estimator.
-
-    Used by diagnostics and by the convergence benchmark to compare
-    chains on original vs sliced programs.
-    """
-    n = len(samples)
-    if n < 3:
-        return float(n)
-    mean = sum(samples) / n
-    centered = [s - mean for s in samples]
-    var = sum(c * c for c in centered) / n
-    if var == 0.0:
-        return float(n)
-    rho_sum = 0.0
-    for lag in range(1, min(max_lag, n - 1)):
-        acov = sum(centered[i] * centered[i + lag] for i in range(n - lag)) / n
-        rho = acov / var
-        if rho <= 0.0:
-            break
-        rho_sum += rho
-    ess = n / (1.0 + 2.0 * rho_sum)
-    return max(1.0, min(float(n), ess))

@@ -1,4 +1,6 @@
-"""Metrics: KL/TV divergences and convergence curves."""
+"""Metrics: KL/TV divergences, convergence curves, and the ESS /
+R-hat estimators (:mod:`repro.metrics.online`, re-exported by
+:mod:`repro.inference`)."""
 
 from .convergence import (
     ConvergenceCurve,
@@ -6,7 +8,7 @@ from .convergence import (
     geometric_checkpoints,
 )
 from .divergence import kl_divergence, running_kl, tv_distance
-from .online import OnlineEss, OnlineMeanVar, OnlineSplitRHat, kish_ess
+from .online import kish_ess
 
 __all__ = [
     "ConvergenceCurve",
@@ -15,8 +17,5 @@ __all__ = [
     "kl_divergence",
     "running_kl",
     "tv_distance",
-    "OnlineEss",
-    "OnlineMeanVar",
-    "OnlineSplitRHat",
     "kish_ess",
 ]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from ..core.ast import Program
-from ..inference.base import Engine
-from ..semantics.distribution import FiniteDist
 from .divergence import running_kl
+
+if TYPE_CHECKING:  # annotations only: repro.inference imports repro.metrics
+    from ..core.ast import Program
+    from ..inference.base import Engine
+    from ..semantics.distribution import FiniteDist
 
 __all__ = ["ConvergenceCurve", "convergence_curve", "geometric_checkpoints"]
 

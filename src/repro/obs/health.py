@@ -17,9 +17,8 @@ stream *during* a run and turn pathologies into structured
   barrier, the classic weight-degeneracy signature.
 * :class:`StallMonitor` — a source that stops reporting progress for
   longer than a deadline while other activity continues.
-* :class:`ConvergenceMonitor` — finalize-time split-R-hat and
-  autocorrelation-ESS/sec over the merged chains (built on
-  :mod:`repro.metrics.online`).
+* :class:`ConvergenceMonitor` — finalize-time ESS/sec and split-R-hat
+  of the merged result, read from :mod:`repro.metrics.online`.
 
 A :class:`HealthTracker` is the whole panel as one subscriber of a
 :class:`~repro.obs.recorder.TraceRecorder`, and renders a
@@ -33,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .export import _jsonable
 from .live import Snapshot
 
 __all__ = [
@@ -86,7 +86,7 @@ class HealthWarning:
             "source": self.source,
             "message": self.message,
             "severity": self.severity,
-            "value": self.value,
+            "value": _jsonable(self.value),
             "threshold": self.threshold,
             "t": self.t,
             "worker": self.worker,
@@ -372,15 +372,19 @@ class StallMonitor(HealthMonitor):
 
 
 class ConvergenceMonitor(HealthMonitor):
-    """Finalize-time split-R-hat and ESS/sec over the merged result."""
+    """Finalize-time ESS, ESS/sec and split-R-hat of the merged result,
+    as :meth:`repro.metrics.online.ChainSummary.of` reads them.
+
+    ``info`` carries ``ess`` and ``ess_kind``, ``ess_per_sec`` when the
+    run took time, ``split_r_hat`` for a multi-chain result (``"nan"``
+    or ``"inf"`` when not finite, so the report stays valid JSON), and
+    ``reason`` when a reading is degenerate beyond being one chain.
+    """
 
     kind = "non-convergence"
 
-    def __init__(
-        self, r_hat_threshold: float = 1.1, min_chain_len: int = 4
-    ) -> None:
+    def __init__(self, r_hat_threshold: float = 1.1) -> None:
         self.r_hat_threshold = r_hat_threshold
-        self.min_chain_len = min_chain_len
         self._info: Dict[str, Any] = {}
 
     def finalize(
@@ -388,77 +392,46 @@ class ConvergenceMonitor(HealthMonitor):
     ) -> Iterable[HealthWarning]:
         if result is None:
             return ()
-        from ..metrics.online import (
-            OnlineEss,
-            OnlineSplitRHat,
-            kish_ess,
-        )
+        from ..metrics.online import ChainSummary
 
-        warnings: List[HealthWarning] = []
-        samples = _as_floats(getattr(result, "samples", None))
+        try:
+            summary = ChainSummary.of(result)
+        except ValueError:
+            return []  # no draws, or draws that are not scalars
+        weighted = getattr(result, "weights", None) is not None
+        self._info = {
+            "ess_kind": "kish" if weighted else "autocorrelation",
+            "ess": round(summary.ess, 2),
+        }
         elapsed = elapsed if elapsed is not None else getattr(
             result, "elapsed_seconds", None
         )
-        if samples:
-            weights = getattr(result, "weights", None)
-            if weights is not None:
-                ess = kish_ess(weights)
-                self._info["ess_kind"] = "kish"
-            else:
-                online = OnlineEss()
-                for x in samples:
-                    online.push(x)
-                ess = online.ess()
-                self._info["ess_kind"] = "autocorrelation"
-            self._info["ess"] = round(float(ess), 2)
-            if elapsed:
-                self._info["ess_per_sec"] = round(float(ess) / elapsed, 2)
-        chains = getattr(result, "chains", None)
-        if chains and len(chains) >= 2:
-            floats = [_as_floats(chain) for chain in chains]
-            if all(
-                chain is not None and len(chain) >= self.min_chain_len
-                for chain in floats
-            ):
-                rhat = OnlineSplitRHat(len(floats))
-                for index, chain in enumerate(floats):
-                    for x in chain:
-                        rhat.push(index, x)
-                value = rhat.r_hat()
-                self._info["split_r_hat"] = round(value, 4)
-                if value == value and value > self.r_hat_threshold:
-                    warnings.append(
-                        HealthWarning(
-                            kind=self.kind,
-                            source="chains",
-                            message=(
-                                f"split R-hat {value:.3f} > "
-                                f"{self.r_hat_threshold} over "
-                                f"{len(floats)} chains"
-                            ),
-                            value=value,
-                            threshold=self.r_hat_threshold,
-                            data={"n_chains": len(floats)},
-                        )
-                    )
-        return warnings
+        if elapsed:
+            self._info["ess_per_sec"] = round(summary.ess / elapsed, 2)
+        if summary.reason not in (None, "single-chain"):
+            self._info["reason"] = summary.reason
+        if summary.n_chains < 2:
+            return []
+        value = summary.r_hat
+        self._info["split_r_hat"] = _jsonable(round(value, 4))
+        if not value > self.r_hat_threshold:
+            return []
+        return [
+            HealthWarning(
+                kind=self.kind,
+                source="chains",
+                message=(
+                    f"split R-hat {value:.3f} > {self.r_hat_threshold} "
+                    f"over {summary.n_chains} chains"
+                ),
+                value=value,
+                threshold=self.r_hat_threshold,
+                data={"n_chains": summary.n_chains},
+            )
+        ]
 
     def info(self) -> Dict[str, Any]:
         return dict(self._info)
-
-
-def _as_floats(values: Any) -> Optional[List[float]]:
-    if values is None:
-        return None
-    out: List[float] = []
-    for v in values:
-        if isinstance(v, bool):
-            out.append(1.0 if v else 0.0)
-        elif isinstance(v, (int, float)):
-            out.append(float(v))
-        else:
-            return None
-    return out
 
 
 def default_monitors() -> List[HealthMonitor]:

@@ -79,6 +79,7 @@ from ..inference import (
     has_loop,
     has_soft_conditioning,
 )
+from ..metrics.online import ChainSummary
 from ..semantics.distribution import FiniteDist
 from ..semantics.exact import ExactEngineError, ExactResult, exact_inference
 from ..semantics.executor import NonTerminatingRun, run_program
@@ -881,35 +882,22 @@ class SamplerEquivalenceOracle(Oracle):
 
 
 def _effective_draws(result, mcmc: bool = False) -> float:
-    """Kish effective sample size for weighted results; for MCMC
-    chains, the autocorrelation-based ESS (single-site kernels update
-    the returned variable only a fraction of the steps, so treating
-    the chain as ``n`` independent draws makes the chi-square test
-    reject correct engines — the fuzzer found exactly that); the raw
-    count otherwise.  Particle populations are additionally capped by
-    their surviving lineage count: resampling after a rare hard
-    observe can leave thousands of particles descending from a handful
-    of ancestors (the burglar-alarm model collapses ~1200 particles to
-    ~10 genealogies), and treating those as independent draws makes
-    the test reject a correct, merely high-variance engine."""
-    if result.weights is None:
-        if mcmc:
-            from ..inference.base import effective_sample_size
+    """The draw count a chi-square test may trust: the raw count for
+    i.i.d. unweighted draws, otherwise :class:`ChainSummary`'s ESS.
 
-            return effective_sample_size(
-                [float(s) for s in result.samples]
-            )
+    For MCMC chains that is the autocorrelation ESS: single-site
+    kernels update the returned variable only a fraction of the steps,
+    so treating the chain as ``n`` independent draws makes the test
+    reject correct engines — the fuzzer found exactly that.  For
+    weighted draws it is the Kish ESS capped by the surviving lineages:
+    resampling after a rare hard observe can leave thousands of
+    particles descending from a handful of ancestors (the burglar-alarm
+    model collapses ~1200 particles to ~10 genealogies), and treating
+    those as independent draws rejects a correct, merely high-variance
+    engine."""
+    if result.weights is None and not mcmc:
         return float(len(result.samples))
-    total = sum(result.weights)
-    if total <= 0.0:
-        return 0.0
-    sq = sum(w * w for w in result.weights)
-    if sq <= 0.0:
-        return 0.0
-    kish = total * total / sq
-    if result.lineages is not None:
-        return min(kish, float(result.lineages))
-    return kish
+    return ChainSummary.of(result).ess
 
 
 class FactorizationOracle(Oracle):

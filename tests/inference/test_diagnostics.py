@@ -1,16 +1,18 @@
-"""MCMC diagnostics tests."""
+"""MCMC diagnostics tests: split-R-hat, autocorrelation and the
+result-level :class:`ChainSummary` reading."""
 
 import math
 import random
 
 import pytest
 
-from repro.inference.base import InferenceResult
-from repro.inference.diagnostics import (
+from repro.inference import (
+    ChainSummary,
+    InferenceResult,
     autocorrelation,
     cross_chain_diagnostics,
+    effective_sample_size,
     split_r_hat,
-    summarize_chains,
 )
 
 
@@ -25,6 +27,13 @@ def _sticky_chain(seed, n=2000, rho=0.99, mu=0.0):
     for _ in range(n - 1):
         xs.append(mu + rho * (xs[-1] - mu) + math.sqrt(1 - rho**2) * rng.gauss(0, 1))
     return xs
+
+
+def _summary(chains):
+    """ChainSummary of a multi-chain result built from ``chains``."""
+    pooled = [x for chain in chains for x in chain]
+    chains = list(chains) if len(chains) > 1 else None
+    return ChainSummary.of(InferenceResult(samples=pooled, chains=chains))
 
 
 class TestRHat:
@@ -44,7 +53,13 @@ class TestRHat:
         assert split_r_hat([drifting]) > 1.5
 
     def test_constant_chains(self):
-        assert split_r_hat([[1.0] * 100, [1.0] * 100]) == 1.0
+        # Every draw equal: no variance to compare, so no reading.
+        assert math.isnan(split_r_hat([[1.0] * 100, [1.0] * 100]))
+
+    def test_stuck_chains_that_disagree_read_infinite(self):
+        assert split_r_hat([[3.0] * 200, [4.0] * 200]) == math.inf
+        # A single chain whose halves sit at different values, too.
+        assert split_r_hat([[3.0] * 100 + [4.0] * 100]) == math.inf
 
     def test_too_short_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +95,7 @@ class TestAutocorrelation:
 class TestSummary:
     def test_summary_fields(self):
         chains = [_iid_chain(s, n=1000) for s in range(3)]
-        summary = summarize_chains(chains)
+        summary = _summary(chains)
         assert abs(summary.mean) < 0.15
         assert abs(summary.sd - 1.0) < 0.1
         assert summary.n_chains == 3
@@ -88,13 +103,13 @@ class TestSummary:
         assert summary.converged()
 
     def test_sticky_chains_low_ess(self):
-        good = summarize_chains([_iid_chain(0)])
-        bad = summarize_chains([_sticky_chain(0)])
+        good = _summary([_iid_chain(0)])
+        bad = _summary([_sticky_chain(0)])
         assert bad.ess < good.ess / 5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize_chains([])
+            _summary([[]])
 
     def test_on_real_mh_chains(self, burglar):
         from repro.inference import MetropolisHastings
@@ -108,7 +123,7 @@ class TestSummary:
             ]
             for seed in (1, 2, 3)
         ]
-        summary = summarize_chains(chains)
+        summary = _summary(chains)
         assert summary.converged(threshold=1.1)
 
 
@@ -133,7 +148,8 @@ class TestCrossChainEdgeCases:
         with pytest.warns(RuntimeWarning, match="zero variance"):
             summary = cross_chain_diagnostics(result)
         assert math.isnan(summary.r_hat)
-        assert summary.ess == 0.0
+        assert summary.ess == 50.0  # the draw count, as for one chain
+        assert summary.reason == "zero-variance"
         assert summary.sd == 0.0
         assert summary.mean == pytest.approx(2.0)
         assert summary.n_chains == 2
@@ -167,6 +183,48 @@ class TestCrossChainEdgeCases:
         summary = cross_chain_diagnostics(result)
         assert not math.isnan(summary.r_hat)
         assert abs(summary.r_hat - 1.0) < 0.05
+
+    def test_stuck_chains_never_pass_as_converged(self):
+        # Two 200-draw chains stuck at 3.0 and 4.0 once read ess=400,
+        # r_hat=1.0 and converged() True.
+        result = InferenceResult(
+            samples=[3.0] * 200 + [4.0] * 200,
+            chains=[[3.0] * 200, [4.0] * 200],
+        )
+        with pytest.warns(RuntimeWarning, match="disagree"):
+            summary = cross_chain_diagnostics(result)
+        assert summary.ess == pytest.approx(3.0, abs=1e-3)
+        assert summary.r_hat == math.inf
+        assert summary.reason == "stuck-chains"
+        assert not summary.converged()
+
+    def test_constant_chain_reads_one_ess_everywhere(self):
+        # One constant 400-draw chain once read ESS 400 from
+        # effective_sample_size and 0.0 from cross_chain_diagnostics.
+        result = InferenceResult(samples=[2.0] * 400)
+        with pytest.warns(RuntimeWarning, match="zero variance"):
+            summary = cross_chain_diagnostics(result)
+        assert summary.ess == effective_sample_size(result.samples) == 400.0
+        assert summary.reason == "zero-variance"
+
+    def test_pooled_ess_in_chain_order(self):
+        chains = [_sticky_chain(s, n=500) for s in range(2)]
+        pooled = [x for c in chains for x in c]
+        summary = _summary(chains)
+        assert summary.ess == effective_sample_size(pooled)
+        assert summary.reason is None
+
+    def test_weighted_ess_is_kish_capped_by_lineages(self):
+        result = InferenceResult(
+            samples=[1.0, 2.0, 3.0, 4.0], weights=[1.0] * 4, lineages=2
+        )
+        assert ChainSummary.of(result).ess == 2.0
+        result.lineages = None
+        assert ChainSummary.of(result).ess == pytest.approx(4.0)
+
+    def test_non_scalar_draws_rejected(self):
+        with pytest.raises(ValueError, match="not scalar"):
+            ChainSummary.of(InferenceResult(samples=[(1, 2), (3, 4)]))
 
     def test_empty_still_raises(self):
         with pytest.raises(ValueError):

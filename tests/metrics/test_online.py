@@ -1,48 +1,12 @@
-"""Online estimators must agree exactly with their batch twins.
+"""Kish effective sample size, and the estimators' numpy-free import.
 
-The contract in ``repro.metrics.online`` is "same estimator, queryable
-mid-run": the cached online versions are pinned to the batch
-implementations in ``repro.inference`` sample-for-sample, so health
-monitors never report a number a post-hoc analysis would contradict."""
-
-import math
-import random
-import statistics
+The autocorrelation ESS, autocorrelation and split-R-hat of
+``repro.metrics.online`` are pinned to verbatim copies of the loop
+estimators they replaced in ``test_reference_ess.py``."""
 
 import pytest
 
-from repro.inference.base import effective_sample_size
-from repro.inference.diagnostics import split_r_hat
-from repro.metrics import OnlineEss, OnlineMeanVar, OnlineSplitRHat, kish_ess
-
-
-class TestOnlineMeanVar:
-    def test_matches_statistics_module(self):
-        rng = random.Random(0)
-        xs = [rng.gauss(3.0, 2.0) for _ in range(1000)]
-        acc = OnlineMeanVar()
-        for x in xs:
-            acc.push(x)
-        assert acc.n == 1000
-        assert acc.mean == pytest.approx(statistics.fmean(xs))
-        assert acc.variance() == pytest.approx(statistics.variance(xs))
-        assert acc.sd() == pytest.approx(statistics.stdev(xs))
-
-    def test_population_variance(self):
-        acc = OnlineMeanVar()
-        for x in (1.0, 2.0, 3.0):
-            acc.push(x)
-        assert acc.variance(ddof=0) == pytest.approx(
-            statistics.pvariance([1.0, 2.0, 3.0])
-        )
-
-    def test_degenerate_sizes(self):
-        acc = OnlineMeanVar()
-        assert acc.n == 0
-        assert math.isnan(acc.variance())
-        acc.push(5.0)
-        assert acc.mean == 5.0
-        assert math.isnan(acc.variance())  # ddof=1 undefined at n=1
+from repro.metrics import kish_ess
 
 
 class TestKishEss:
@@ -62,83 +26,18 @@ class TestKishEss:
         assert kish_ess(w) == pytest.approx(expected)
 
 
-class TestOnlineEss:
-    def test_matches_batch_on_iid(self):
-        rng = random.Random(7)
-        xs = [rng.gauss(0, 1) for _ in range(500)]
-        online = OnlineEss()
-        online.extend(xs)
-        assert online.ess() == pytest.approx(effective_sample_size(xs))
+def test_estimators_import_without_numpy():
+    # numpy loads inside the estimator functions: importing either
+    # package (in either order) must not pay its import cost.
+    import os
+    import subprocess
+    import sys
 
-    def test_matches_batch_on_correlated_chain(self):
-        rng = random.Random(3)
-        xs, x = [], 0.0
-        for _ in range(800):
-            x = 0.95 * x + rng.gauss(0, 1)  # AR(1): heavy autocorrelation
-            xs.append(x)
-        online = OnlineEss()
-        for v in xs:
-            online.push(v)
-        batch = effective_sample_size(xs)
-        assert online.ess() == pytest.approx(batch)
-        assert batch < 200  # the chain really is correlated
+    import repro
 
-    def test_incremental_queries_track_prefixes(self):
-        rng = random.Random(1)
-        xs = [rng.gauss(0, 1) for _ in range(300)]
-        online = OnlineEss()
-        for cut in (50, 150, 300):
-            online.extend(xs[len(online) : cut])
-            assert online.ess() == pytest.approx(
-                effective_sample_size(xs[:cut])
-            )
-
-    def test_ess_per_sec(self):
-        online = OnlineEss()
-        online.extend([1.0, 2.0, 3.0, 1.5, 2.5])
-        assert online.ess_per_sec(2.0) == pytest.approx(online.ess() / 2.0)
-        assert math.isnan(online.ess_per_sec(0.0))
-
-
-class TestOnlineSplitRHat:
-    def _chains(self, n_chains, n, seed=0, shift=0.0):
-        rng = random.Random(seed)
-        return [
-            [rng.gauss(i * shift, 1.0) for _ in range(n)]
-            for i in range(n_chains)
-        ]
-
-    def test_matches_batch(self):
-        chains = self._chains(4, 250)
-        online = OnlineSplitRHat(n_chains=4)
-        for i, chain in enumerate(chains):
-            online.extend(i, chain)
-        assert online.defined()
-        assert online.r_hat() == pytest.approx(split_r_hat(chains))
-
-    def test_detects_disagreement(self):
-        chains = self._chains(2, 100, shift=10.0)
-        online = OnlineSplitRHat(n_chains=2)
-        for i, chain in enumerate(chains):
-            online.extend(i, chain)
-        assert online.r_hat() > 1.5
-        assert online.r_hat() == pytest.approx(split_r_hat(chains))
-
-    def test_nan_before_defined(self):
-        online = OnlineSplitRHat(n_chains=2)
-        online.extend(0, [1.0, 2.0, 3.0, 4.0])
-        assert not online.defined()  # chain 1 still empty
-        assert math.isnan(online.r_hat())
-        online.extend(1, [1.0, 2.0, 3.0])
-        assert not online.defined()  # split-R-hat needs >=4 per chain
-        assert math.isnan(online.r_hat())
-        online.push(1, 4.0)
-        assert online.defined()
-        assert not math.isnan(online.r_hat())
-
-    def test_uneven_chain_lengths_match_batch(self):
-        chains = [self._chains(1, 200)[0], self._chains(1, 150, seed=9)[0]]
-        online = OnlineSplitRHat(n_chains=2)
-        for i, chain in enumerate(chains):
-            online.extend(i, chain)
-        assert online.r_hat() == pytest.approx(split_r_hat(chains))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for first, second in (("repro.inference", "repro.metrics"),
+                          ("repro.metrics", "repro.inference")):
+        code = f"import sys, {first}, {second}; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

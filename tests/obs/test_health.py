@@ -170,7 +170,7 @@ class TestStall:
 
 
 class TestConvergenceMonitor:
-    def _result(self, samples, weights=None, chains=None):
+    def _result(self, samples, weights=None, chains=None, lineages=None):
         class R:
             pass
 
@@ -178,6 +178,7 @@ class TestConvergenceMonitor:
         r.samples = samples
         r.weights = weights
         r.chains = chains
+        r.lineages = lineages
         return r
 
     def test_autocorr_ess_on_unweighted(self):
@@ -221,6 +222,35 @@ class TestConvergenceMonitor:
         mon = ConvergenceMonitor()
         r = self._result([x for c in chains for x in c], chains=chains)
         assert mon.finalize(r, elapsed=1.0) == []
+
+    def test_kish_capped_by_surviving_lineages(self):
+        mon = ConvergenceMonitor()
+        r = self._result([1.0, 2.0, 3.0, 4.0], weights=[1.0] * 4, lineages=3)
+        mon.finalize(r, elapsed=1.0)
+        assert mon.info()["ess"] == 3.0
+
+    def test_zero_variance_reads_draw_count_with_reason(self):
+        mon = ConvergenceMonitor()
+        mon.finalize(self._result([2.0] * 40), elapsed=1.0)
+        info = mon.info()
+        assert info["ess"] == 40.0
+        assert info["reason"] == "zero-variance"
+        assert "split_r_hat" not in info  # one chain
+
+    def test_stuck_chains_flagged_and_report_stays_json(self):
+        import json
+
+        chains = [[3.0] * 200, [4.0] * 200]
+        tracker = HealthTracker(monitors=[ConvergenceMonitor()])
+        report = tracker.finalize(
+            self._result(chains[0] + chains[1], chains=chains), elapsed=1.0
+        )
+        assert [w.kind for w in report.warnings] == ["non-convergence"]
+        assert report.info["split_r_hat"] == "inf"
+        assert report.info["reason"] == "stuck-chains"
+        assert report.info["ess"] == pytest.approx(3.0, abs=0.01)
+        encoded = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert encoded["warnings"][0]["value"] == "inf"
 
     def test_non_numeric_samples_skipped(self):
         mon = ConvergenceMonitor()

@@ -27,9 +27,9 @@ from repro.inference import (
     MetropolisHastings,
     RejectionSampler,
     SMCSampler,
+    cross_chain_diagnostics,
 )
 from repro.inference.base import InferenceError, UnsupportedProgramError
-from repro.inference.diagnostics import cross_chain_diagnostics
 from repro.semantics import exact_inference
 
 BLOCKED = "x ~ Bernoulli(0.5); observe(x && !x); return x;"
@@ -115,7 +115,7 @@ class TestZeroIterationWhile:
 
 class TestSingleSampleDiagnostics:
     """cross_chain_diagnostics on a one-sample result must degrade
-    (nan R-hat, zero ESS, RuntimeWarning), not raise."""
+    (nan R-hat, ESS of one draw, RuntimeWarning), not raise."""
 
     @pytest.mark.parametrize(
         "name,engine",
@@ -136,7 +136,8 @@ class TestSingleSampleDiagnostics:
             warnings.simplefilter("always")
             summary = cross_chain_diagnostics(result)
         assert math.isnan(summary.r_hat)
-        assert summary.ess == 0.0
+        assert summary.ess == 1.0
+        assert summary.reason == "zero-variance"
         assert summary.n_samples == 1
         assert any(
             issubclass(w.category, RuntimeWarning) for w in caught

@@ -213,3 +213,19 @@ class TestShippedModels:
         assert out.startswith("digraph")
         assert "B0" in out
         assert "entry" in out
+
+    def test_cross_chain_and_health_print_one_ess(
+        self, models_dir, tmp_path, capsys
+    ):
+        argv = [
+            str(models_dir / "student.prob"),
+            "--infer", "mh", "--samples", "2000", "--jobs", "2",
+            "--stream-metrics", str(tmp_path / "snap.ndjson"),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cross = next(line for line in lines if "// cross-chain:" in line)
+        health = next(line for line in lines if line.startswith("//   ess = "))
+        cross_ess = float(cross.split("ESS")[1].split()[0])
+        health_ess = float(health.split("=")[1])
+        assert cross_ess == pytest.approx(health_ess, abs=0.06)
