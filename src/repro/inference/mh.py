@@ -3,19 +3,35 @@
 
 R2 performs MCMC sampling over an imperative probabilistic language
 [Nori et al.]; the single-site trace MH of Wingate et al. (2011) is
-the same algorithmic family and reacts to slicing the same way: each
-proposal re-executes the program (cost ∝ program size) and mixing
-degrades with every nuisance sample site the slicer failed to remove.
+the same algorithmic family and reacts to slicing the same way: mixing
+degrades with every nuisance sample site the slicer failed to remove,
+and on the interpreter each proposal re-executes the whole program
+(cost ∝ program size), the cost model of the paper's Figure 18.
 
 Proposal: pick a site uniformly, resample it from its prior (under the
 current upstream parameters), re-execute reusing the rest of the
-trace.  Acceptance (fresh/stale prior terms included)::
+trace.  A replayed value that has no mass under its new parameters
+blocks the run, so the proposal is rejected.  Acceptance
+(fresh/stale prior terms included)::
 
     log a = logjoint' - logjoint + log|m| - log|m'| + R - F
 
 where ``F`` is the forward proposal mass (fresh draws of the chosen
 site plus sites only present in the new trace) and ``R`` the reverse
-one.
+one.  With probability ``global_move_prob`` a proposal instead
+regenerates the whole trace from the prior.
+
+On the closure backend, a program whose lowered region tree is
+straight-line takes the incremental path
+(:mod:`repro.semantics.incremental`): a single-site move re-runs only
+the moved site's dependence cone and re-folds the likelihood, with the
+same random draws, the same ``log a`` and so the same chain as the full
+re-run; ``statements_executed`` counts the cone's statements.  Global
+moves, initialization and the annealer's re-scoring stay full runs.
+Every other case re-runs the whole program and counts, once per
+``infer`` call, ``mh.incremental.fallback.<reason>``: ``interpreter``,
+``overhead`` (church-mh) or ``control-flow``; the incremental path
+counts ``mh.incremental.used``.
 """
 
 from __future__ import annotations
@@ -24,14 +40,17 @@ import copy
 import math
 import random
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.ast import Program
+from ..obs.recorder import current_recorder
 from ..semantics.executor import (
     ExecutorOptions,
     NonTerminatingRun,
     RunResult,
 )
+from ..semantics.incremental import INTERPRETER, ConePlan, NotIncremental
+from ..semantics.trace import TraceEntry
 from .base import (
     Engine,
     InferenceResult,
@@ -95,6 +114,10 @@ class MetropolisHastings(Engine):
         #: :func:`~repro.inference.base.split_evenly` share of the total.
         self.batch_chains = batch_chains
         self._deadline: Optional[float] = None
+        #: The compiled program and its cone plan while an ``infer``
+        #: call takes the incremental path, else None (also between
+        #: calls, so an engine keeps no plan alive).
+        self._cones: Optional[Tuple[object, ConePlan]] = None
 
     def shard(self, n_shards: int, seeds: Sequence[int]) -> List["Engine"]:
         """Independent chains: each shard runs a full burn-in plus its
@@ -111,17 +134,59 @@ class MetropolisHastings(Engine):
             shard.n_samples = size
             shard.seed = seed
             shard._deadline = None
+            shard._cones = None
             shards.append(shard)
         return shards
 
     # -- hooks the Church-like engine overrides -------------------------------
 
     def _execute(self, program, rng, base_trace, result: InferenceResult) -> RunResult:
-        run = self._run_program(
-            program, rng, base_trace=base_trace, options=self.executor_options
-        )
+        if self._cones is not None:
+            # A recorded full run: the state cone steps start from.
+            run = self._cones[0].run(
+                rng, base_trace=base_trace, options=self.executor_options,
+                record=True,
+            )
+        else:
+            run = self._run_program(
+                program, rng, base_trace=base_trace, options=self.executor_options
+            )
         result.statements_executed += run.statements_executed
         return run
+
+    def _incremental(self, program: Program) -> Optional[Tuple[object, ConePlan]]:
+        """The compiled program and cone plan single-site moves take in
+        this ``infer`` call, or None; counts which, once per call."""
+        recorder = current_recorder()
+        if not self.compiled:
+            reason = INTERPRETER
+        else:
+            from ..semantics.compiled import compile_program
+
+            compiled = compile_program(program)
+            try:
+                plan = compiled.cone_plan()
+            except NotIncremental as exc:
+                reason = exc.reason
+            else:
+                recorder.counter("mh.incremental.used")
+                return compiled, plan
+        recorder.counter(f"mh.incremental.fallback.{reason}")
+        return None
+
+    def _step(
+        self, rng: random.Random, current: RunResult, site: int, value,
+        result: InferenceResult,
+    ) -> Optional[RunResult]:
+        """Move one site along the cone plan; None when blocked."""
+        assert self._cones is not None
+        proposal = self._cones[1].step(
+            site, rng, current, value, self.executor_options.observe_penalty
+        )
+        result.statements_executed += proposal.statements_executed
+        if proposal.blocked:
+            return None
+        return proposal
 
     def _propose(
         self,
@@ -142,33 +207,50 @@ class MetropolisHastings(Engine):
         """
         if rng.random() < self.global_move_prob:
             return self._propose_global(program, rng, current, result)
-        sites = list(current.trace)
-        if not sites:
-            return None
-        addr = sites[rng.randrange(len(sites))]
-        base = dict(current.trace)
-        del base[addr]
-        try:
-            proposal = self._execute(program, rng, base, result)
-        except NonTerminatingRun:
-            return None
-        if proposal.blocked or proposal.log_joint == NEG_INF:
-            return None
-        forward = 0.0
-        reverse = current.trace[addr].log_prior
-        if addr in proposal.trace:
+        if self._cones is not None:
+            # Static site set: the sites are the plan's, in trace order,
+            # and the new/dropped-site loops below would add nothing.
+            sites = self._cones[1].addrs
+            if not sites:
+                return None
+            site = rng.randrange(len(sites))
+            addr = sites[site]
+            proposal = self._step(rng, current, site, None, result)
+            if proposal is None or proposal.log_joint == NEG_INF:
+                return None
+            forward = 0.0
             forward += proposal.trace[addr].log_prior
-        for a, entry in proposal.trace.items():
-            if a not in current.trace and a != addr:
-                forward += entry.log_prior
-        for a, entry in current.trace.items():
-            if a not in proposal.trace and a != addr:
-                reverse += entry.log_prior
+            reverse = current.trace[addr].log_prior
+            m_new = len(sites)
+        else:
+            sites = list(current.trace)
+            if not sites:
+                return None
+            addr = sites[rng.randrange(len(sites))]
+            base = dict(current.trace)
+            del base[addr]
+            try:
+                proposal = self._execute(program, rng, base, result)
+            except NonTerminatingRun:
+                return None
+            if proposal.blocked or proposal.log_joint == NEG_INF:
+                return None
+            forward = 0.0
+            reverse = current.trace[addr].log_prior
+            if addr in proposal.trace:
+                forward += proposal.trace[addr].log_prior
+            for a, entry in proposal.trace.items():
+                if a not in current.trace and a != addr:
+                    forward += entry.log_prior
+            for a, entry in current.trace.items():
+                if a not in proposal.trace and a != addr:
+                    reverse += entry.log_prior
+            m_new = len(proposal.trace) if proposal.trace else 1
         log_alpha = (
             proposal.log_joint
             - current.log_joint
             + math.log(len(sites))
-            - math.log(len(proposal.trace) if proposal.trace else 1)
+            - math.log(m_new)
             + reverse
             - forward
         )
@@ -307,17 +389,19 @@ class MetropolisHastings(Engine):
         addr = sites[rng.randrange(len(sites))]
         entry = current.trace[addr]
         scale = 0.25 * (abs(entry.value) + 1.0)
-        from ..semantics.trace import TraceEntry
-
-        base = dict(current.trace)
-        base[addr] = TraceEntry(
-            entry.value + rng.gauss(0.0, scale), 0.0, entry.dist_name
-        )
-        try:
-            proposal = self._execute(program, rng, base, result)
-        except NonTerminatingRun:
-            return None
-        if proposal.blocked or proposal.log_joint == NEG_INF:
+        value = entry.value + rng.gauss(0.0, scale)
+        if self._cones is not None:
+            proposal = self._step(
+                rng, current, self._cones[1].index[addr], value, result
+            )
+        else:
+            base = dict(current.trace)
+            base[addr] = TraceEntry(value, 0.0, entry.dist_name)
+            try:
+                proposal = self._execute(program, rng, base, result)
+            except NonTerminatingRun:
+                return None
+        if proposal is None or proposal.blocked or proposal.log_joint == NEG_INF:
             return None
         log_alpha = proposal.log_joint - current.log_joint
         if log_alpha >= 0.0 or math.log(rng.random()) < log_alpha:
@@ -332,12 +416,16 @@ class MetropolisHastings(Engine):
             )
 
     def infer(self, program: Program) -> InferenceResult:
-        from ..obs.recorder import current_recorder
-
         vectorized = self._vectorize(program)
-        if vectorized is not None:
-            return self._infer_numpy(program, vectorized)
+        self._cones = self._incremental(program)
+        try:
+            if vectorized is not None:
+                return self._infer_numpy(program, vectorized)
+            return self._infer_scalar(program)
+        finally:
+            self._cones = None
 
+    def _infer_scalar(self, program: Program) -> InferenceResult:
         rng = random.Random(self.seed)
         result = InferenceResult()
         rec = current_recorder()
@@ -393,7 +481,6 @@ class MetropolisHastings(Engine):
         import numpy as np
 
         from ..dists.batched import BATCHED
-        from ..obs.recorder import current_recorder
         from ..runtime.parallel import numpy_generator
         from .base import split_evenly
 

@@ -25,7 +25,9 @@ import random
 from typing import Optional
 
 from ..core.ast import Program
+from ..obs.recorder import current_recorder
 from ..semantics.executor import RunResult
+from ..semantics.incremental import OVERHEAD
 from .base import InferenceResult, UnsupportedProgramError
 from .features import distributions_used
 from .mh import MetropolisHastings
@@ -72,6 +74,12 @@ class ChurchTraceMH(MetropolisHastings):
         # charge, so church-mh always takes the scalar path (a truthy
         # ``compiled`` still routes those runs through the closure
         # backend).
+        return None
+
+    def _incremental(self, program):
+        # Every proposal re-executes the whole program: the overhead
+        # factor models an interpreted host's re-execution cost.
+        current_recorder().counter(f"mh.incremental.fallback.{OVERHEAD}")
         return None
 
     def _execute(self, program, rng, base_trace, result: InferenceResult) -> RunResult:

@@ -29,6 +29,12 @@ A generator variant (:class:`CompiledRun`) yields at conditioning
 barriers with the same protocol as the SMC interpreter's ``_Run``, so
 particles can run compiled too.
 
+For a straight-line program, ``CompiledProgram.run(..., record=True)``
+also returns the end state and every likelihood term
+(:class:`RecordedRun`): the state the incremental MH plan
+(:mod:`repro.semantics.incremental`, built lazily by
+:meth:`CompiledProgram.cone_plan`) steps from.
+
 The only deliberate divergence: reads of never-assigned variables and
 ``Decl`` with an unknown type raise :class:`EvalError` at compile time
 or with a synthesized message, rather than mid-run — the validator
@@ -60,13 +66,14 @@ from ..core.freevars import free_vars
 from ..dists import DistributionError, make_distribution
 from ..ir.lower import IfRegion, Leaf, Lowered, Region, Seq, WhileRegion, lower
 from .executor import ExecutorOptions, NonTerminatingRun, RunResult
-from .trace import Trace, TraceEntry
+from .trace import Address, Trace, TraceEntry
 from .values import EvalError, _as_bool, default_value
 
 __all__ = [
     "CompilationError",
     "CompiledProgram",
     "CompiledRun",
+    "RecordedRun",
     "compile_program",
     "clear_compile_cache",
 ]
@@ -75,6 +82,11 @@ NEG_INF = float("-inf")
 
 #: Sentinel return distinguishing a blocked run from any PROB value.
 _BLOCKED = object()
+
+#: The generated functions' contract, kept in every pickle.  Version 2:
+#: the run function takes ``_rec`` and records straight-line programs'
+#: end state.
+CODEGEN_VERSION = 2
 
 
 class CompilationError(ValueError):
@@ -90,13 +102,15 @@ def _smp(dist, name, addr, base, trace, rng):
     """Sample-site runtime helper: replay from ``base`` when the address
     holds a compatible entry, else draw fresh.  Mirrors
     ``_Executor._exec_sample`` exactly (including re-scoring replayed
-    values under the current parameters)."""
+    values under the current parameters, and blocking the run when a
+    replayed value lost its support)."""
     entry = base.get(addr)
     if entry is not None and entry.dist_name == name:
         lp = dist.log_prob(entry.value)
-        if lp != NEG_INF:
-            trace[addr] = TraceEntry(entry.value, lp, name)
-            return entry.value
+        if lp == NEG_INF:
+            raise _Blocked
+        trace[addr] = TraceEntry(entry.value, lp, name)
+        return entry.value
     value = dist.sample(rng)
     trace[addr] = TraceEntry(value, dist.log_prob(value), name)
     return value
@@ -136,9 +150,62 @@ def _tuple_src(parts: List[str]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
+def straight_line(lowered: Lowered) -> Optional[List[Tuple[object, Address]]]:
+    """The primitive statements of a region tree made of ``Seq`` and
+    ``Leaf`` only, each with its sample address, in program order; None
+    when the tree holds an ``if`` or a ``while``."""
+    out: List[Tuple[object, Address]] = []
+
+    def walk(region: Region, parts: Tuple[int, ...]) -> bool:
+        if isinstance(region, Leaf):
+            if region.node is not None:
+                out.append((region.stmt, parts))
+            return True
+        if isinstance(region, Seq):
+            return all(
+                walk(child, parts + (i,)) for i, child in enumerate(region.children)
+            )
+        return False
+
+    return out if walk(lowered.root, ()) else None
+
+
+def env_names(leaves: List[Tuple[object, Address]]) -> List[str]:
+    """The variables a straight-line program defines, in order of first
+    definition: the slots of a recorded end state."""
+    names: Dict[str, None] = {}
+    for stmt, _ in leaves:
+        if isinstance(stmt, (Decl, Assign, Sample)):
+            names.setdefault(stmt.name)
+    return list(names)
+
+
+class RecordedRun(RunResult):
+    """A run that also carries what the incremental MH plan
+    (:mod:`repro.semantics.incremental`) starts from: ``env``, the end
+    state as one slot per variable (:func:`env_names`), and ``terms``,
+    one entry per conditioning statement in program order (its
+    log-likelihood term, or whether a hard observe held).  Its
+    ``log_joint`` is summed once."""
+
+    def __init__(self, value, log_likelihood, trace, statements_executed,
+                 violations, env: list, terms: list) -> None:
+        super().__init__(value, log_likelihood, trace, statements_executed, violations)
+        self.env = env
+        self.terms = terms
+        self._log_joint = RunResult.log_joint.fget(self)  # type: ignore[attr-defined]
+
+    @property
+    def log_joint(self) -> float:
+        return self._log_joint
+
+
 class _Codegen:
     """Emits the two entry points (``_compiled_run`` and the barrier
-    generator ``_compiled_particle``) for one lowered program."""
+    generator ``_compiled_particle``) for one lowered program.  The run
+    function keeps each conditioning statement's term in its own local
+    and, for a straight-line program, hands the end state and the terms
+    to a ``_rec`` list when given one."""
 
     def __init__(self, lowered: Lowered) -> None:
         self.lowered = lowered
@@ -147,12 +214,18 @@ class _Codegen:
         #: generated module's namespace as ``_d0, _d1, ...``.
         self.hoisted: Dict[str, object] = {}
         self._hoist_memo: Dict[Tuple[str, Tuple[object, ...]], str] = {}
+        #: Python name per PROB variable read, where it is not
+        #: ``_v_<name>`` (the incremental plan's cone functions give
+        #: each definition its own local).
+        self.names: Dict[str, str] = {}
+        #: Index of the next conditioning statement (``_c<k>`` locals).
+        self.conds = 0
 
     # -- expressions --------------------------------------------------------
 
     def expr(self, e: Expr) -> str:
         if isinstance(e, Var):
-            return "_v_" + e.name
+            return self.names.get(e.name) or "_v_" + e.name
         if isinstance(e, Const):
             return _const_src(e.value)
         if isinstance(e, Unary):
@@ -271,7 +344,9 @@ class _Codegen:
                 self.emit("_ctx.statements += _n; _n = 0", depth)
                 self.emit(f"yield (0.0 if {cond} is True else NEG_INF)", depth)
             else:
-                self.emit(f"if {cond} is not True:", depth)
+                term = self.term()
+                self.emit(f"{term} = {cond} is True", depth)
+                self.emit(f"if not {term}:", depth)
                 self.emit("if _pen is None:", depth + 1)
                 self.emit("raise _Blocked", depth + 2)
                 self.emit("_ll -= _pen", depth + 1)
@@ -282,21 +357,32 @@ class _Codegen:
                 self.emit("_ctx.statements += _n; _n = 0", depth)
                 self.emit(f"yield {score}", depth)
             else:
-                self.emit(f"_lp = {score}", depth)
-                self.emit("if _lp == NEG_INF:", depth)
+                term = self.term()
+                self.emit(f"{term} = {score}", depth)
+                self.emit(f"if {term} == NEG_INF:", depth)
                 self.emit("raise _Blocked", depth + 1)
-                self.emit("_ll += _lp", depth)
+                self.emit(f"_ll += {term}", depth)
         elif isinstance(stmt, Factor):
             weight = f"float({self.expr(stmt.log_weight)})"
             if particle:
                 self.emit("_ctx.statements += _n; _n = 0", depth)
                 self.emit(f"yield {weight}", depth)
             else:
-                self.emit(f"_ll += {weight}", depth)
+                term = self.term()
+                self.emit(f"{term} = {weight}", depth)
+                self.emit(f"_ll += {term}", depth)
                 self.emit("if _ll == NEG_INF:", depth)
                 self.emit("raise _Blocked", depth + 1)
         else:
             raise CompilationError(f"not a primitive statement: {stmt!r}")
+
+    def term(self) -> str:
+        """The local holding the next conditioning statement's term:
+        its log-likelihood contribution, or whether a hard observe
+        held."""
+        name = f"_c{self.conds}"
+        self.conds += 1
+        return name
 
     # -- entry points -------------------------------------------------------
 
@@ -318,16 +404,47 @@ class _Codegen:
             self.emit("_ctx.statements += _n", 2)
             self.emit("raise", 2)
         else:
-            self.emit("def _compiled_run(_rng, _base, _trace, _pen, _maxit):", 0)
+            self.emit(
+                "def _compiled_run(_rng, _base, _trace, _pen, _maxit, _rec):", 0
+            )
             self.emit("_n = 0", 1)
             self.emit("_ll = 0.0", 1)
             self.emit("_viol = 0", 1)
             self.emit("try:", 1)
+            self.conds = 0
             self.region(self.lowered.root, [], 2, particle=False)
+            leaves = straight_line(self.lowered)
+            if leaves is not None:
+                # The incremental MH plan's starting point: the end
+                # state, one slot per variable, and every term.
+                self.emit("if _rec is not None:", 2)
+                env = ", ".join("_v_" + name for name in env_names(leaves))
+                terms = ", ".join(f"_c{k}" for k in range(self.conds))
+                self.emit(f"_rec.append([{env}])", 3)
+                self.emit(f"_rec.append([{terms}])", 3)
             self.emit(f"return {self.expr(ret)}, _ll, _n, _viol", 2)
             self.emit("except _Blocked:", 1)
             self.emit("return _BLOCKED, NEG_INF, _n, _viol", 2)
         self.emit("", 0)
+
+
+def _namespace(hoisted: Dict[str, object]) -> Dict[str, object]:
+    """The globals generated code runs in: the runtime helpers and the
+    hoisted distributions."""
+    namespace: Dict[str, object] = {
+        "NEG_INF": NEG_INF,
+        "NonTerminatingRun": NonTerminatingRun,
+        "TraceEntry": TraceEntry,
+        "_Blocked": _Blocked,
+        "_BLOCKED": _BLOCKED,
+        "_smp": _smp,
+        "_mkd": make_distribution,
+        "_b": _as_bool,
+        "_div": _div,
+        "_mod": _mod,
+    }
+    namespace.update(hoisted)
+    return namespace
 
 
 class CompiledProgram:
@@ -350,22 +467,14 @@ class CompiledProgram:
         gen.function(particle=True)
         self.source = "\n".join(gen.lines)
         self._hoisted = dict(gen.hoisted)
+        #: The incremental MH plan, or the reason the program has none;
+        #: built on first use by :meth:`cone_plan`, never pickled.
+        self._plan: object = None
         self._exec()
 
     def _exec(self) -> None:
         """Bind the entry points by executing the generated source."""
-        namespace: Dict[str, object] = {
-            "NEG_INF": NEG_INF,
-            "NonTerminatingRun": NonTerminatingRun,
-            "_Blocked": _Blocked,
-            "_BLOCKED": _BLOCKED,
-            "_smp": _smp,
-            "_mkd": make_distribution,
-            "_b": _as_bool,
-            "_div": _div,
-            "_mod": _mod,
-        }
-        namespace.update(self._hoisted)
+        namespace = _namespace(self._hoisted)
         exec(compile(self.source, "<repro.compiled>", "exec"), namespace)
         self._run = namespace["_compiled_run"]
         self._particle = namespace["_compiled_particle"]
@@ -381,12 +490,19 @@ class CompiledProgram:
             "program": self.program,
             "source": self.source,
             "_hoisted": self._hoisted,
+            "codegen": CODEGEN_VERSION,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
+        if state.get("codegen") != CODEGEN_VERSION:
+            # Generated under another contract (an older on-disk cache
+            # entry): regenerate from the program.
+            self.__init__(state["program"])  # type: ignore[misc]
+            return
         self.program = state["program"]  # type: ignore[assignment]
         self.source = state["source"]  # type: ignore[assignment]
         self._hoisted = state["_hoisted"]  # type: ignore[assignment]
+        self._plan = None
         self._exec()
 
     def run(
@@ -394,9 +510,13 @@ class CompiledProgram:
         rng: random.Random,
         base_trace: Optional[Trace] = None,
         options: ExecutorOptions = ExecutorOptions(),
+        record: bool = False,
     ) -> RunResult:
-        """Execute once; same contract as :func:`run_program`."""
+        """Execute once; same contract as :func:`run_program`.  With
+        ``record``, a straight-line program's unblocked run comes back
+        as a :class:`RecordedRun`."""
         trace: Trace = {}
+        rec: Optional[list] = [] if record else None
         try:
             value, ll, statements, violations = self._run(
                 rng,
@@ -404,15 +524,39 @@ class CompiledProgram:
                 trace,
                 options.observe_penalty,
                 options.max_loop_iterations,
+                rec,
             )
-        except NameError as exc:  # read of a never-assigned variable
-            name = getattr(exc, "name", "") or ""
-            raise EvalError(
-                f"variable {name.removeprefix('_v_')!r} is not defined"
-            ) from None
+        except NameError as exc:
+            raise _undefined(exc) from None
         if value is _BLOCKED:
             value = None
+        if rec:
+            return RecordedRun(value, ll, trace, statements, violations, *rec)
         return RunResult(value, ll, trace, statements, violations)
+
+    def cone_plan(self):
+        """The incremental MH plan
+        (:class:`repro.semantics.incremental.ConePlan`), built on first
+        use and kept as long as this compilation; raises
+        :class:`~repro.semantics.incremental.NotIncremental` for a
+        program outside its fragment."""
+        from .incremental import ConePlan, NotIncremental
+
+        if self._plan is None:
+            try:
+                self._plan = ConePlan(self.program)
+            except NotIncremental as exc:
+                self._plan = exc.reason
+        if isinstance(self._plan, str):
+            raise NotIncremental(self._plan)
+        return self._plan
+
+
+def _undefined(exc: NameError) -> EvalError:
+    """A read of a never-assigned variable, as the interpreter reports
+    it."""
+    name = getattr(exc, "name", "") or ""
+    return EvalError(f"variable {name.removeprefix('_v_')!r} is not defined")
 
 
 class CompiledRun:

@@ -10,8 +10,9 @@
 * counting executed primitive statements, the deterministic work
   measure the benchmark harness reports alongside wall time.
 
-A run whose hard ``observe`` fails is *blocked*: execution stops early
-and the result carries ``log_likelihood == -inf``.  A ``while`` loop
+A run whose hard ``observe`` fails, or whose replayed value has no mass
+under its site's current parameters, is *blocked*: execution stops
+early and the result carries ``log_likelihood == -inf``.  A ``while`` loop
 exceeding the iteration cap raises :class:`NonTerminatingRun`; callers
 treat such runs as contributing zero mass, which matches the paper's
 normalized-over-terminating-runs semantics.
@@ -177,13 +178,18 @@ class _Executor:
         dist = make_distribution(stmt.dist.name, eval_dist_args(stmt.dist, self.state))
         entry = self._base.get(address)
         if entry is not None and entry.dist_name == stmt.dist.name:
+            # Reuse the recorded value, re-scored under the current
+            # parameters (which may have changed upstream).
             lp = dist.log_prob(entry.value)
-            if lp != NEG_INF:
-                # Reuse the recorded value, re-scored under the current
-                # parameters (which may have changed upstream).
-                self.trace[address] = TraceEntry(entry.value, lp, stmt.dist.name)
-                self.state[stmt.name] = entry.value
-                return
+            if lp == NEG_INF:
+                # The value lost its support: the state has zero
+                # density.  Drawing afresh instead would leave the draw
+                # out of MH's Hastings ratio.
+                self.log_likelihood = NEG_INF
+                raise _BlockedRun()
+            self.trace[address] = TraceEntry(entry.value, lp, stmt.dist.name)
+            self.state[stmt.name] = entry.value
+            return
         value = dist.sample(self._rng)
         self.trace[address] = TraceEntry(
             value, dist.log_prob(value), stmt.dist.name
@@ -200,8 +206,9 @@ def run_program(
     """Execute ``program`` once.
 
     When ``base_trace`` is given, sample sites whose address appears in
-    it (with a compatible distribution) reuse the recorded value; all
-    other sites sample fresh from the prior.
+    it (with a compatible distribution) reuse the recorded value, and
+    the run is blocked when that value has no mass there; all other
+    sites sample fresh from the prior.
 
     Raises :class:`NonTerminatingRun` when a loop exceeds the cap.
     """

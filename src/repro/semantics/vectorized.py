@@ -14,7 +14,8 @@ one boolean *mask* per control-dependence region:
   (``parent & cond`` / ``parent & ~cond``); writes merge back with
   ``np.where(mask, new, old)``, so a lane only observes the arm its
   condition selected;
-* a failed hard ``observe`` does not raise: the lane's mask (and the
+* a failed hard ``observe`` (or a replayed value that lost its
+  support) does not raise: the lane's mask (and the
   global ``_alive`` mask) drops to ``False``, its log-likelihood is
   pinned at ``-inf``, and every later statement, sample and statement
   counter is masked off — exactly the truncation the scalar backends
@@ -211,23 +212,30 @@ def _gather(v, anc):
 def _site_sample(handler, args, gen, mask, bval, bpres, n):
     """Sample-site runtime: replay compatible base entries per lane,
     draw fresh for the rest.  Mirrors the closure backend's ``_smp``
-    (including re-scoring replayed values under current parameters)."""
+    (including re-scoring replayed values under current parameters).
+    The third result masks the lanes whose replayed value lost its
+    support (the caller blocks them), or is ``None`` when none did."""
     params = handler.prepare(args, mask)
     with np.errstate(all="ignore"):
+        lost = None
         if bval is not None:
             base_lp = handler.log_prob(params, bval)
-            rep = mask & bpres & (base_lp != NEG_INF)
-            if rep.all():
-                return bval, np.where(mask, base_lp, 0.0)
+            rep = mask & bpres
+            dead = rep & (base_lp == NEG_INF)
+            if dead.any():
+                lost = dead
+                rep = rep & ~dead
+            elif rep.all():
+                return bval, np.where(mask, base_lp, 0.0), None
         else:
             rep = None
         fresh = handler.sample(params, gen, n)
         fresh_lp = handler.log_prob(params, fresh)
         if rep is None:
-            return fresh, np.where(mask, fresh_lp, 0.0)
+            return fresh, np.where(mask, fresh_lp, 0.0), None
         values = np.where(rep, bval, fresh)
         lps = np.where(rep, base_lp, fresh_lp)
-    return values, np.where(mask, lps, 0.0)
+    return values, np.where(mask, lps, 0.0), lost
 
 
 def _site_score(handler, args, value, mask, n):
@@ -418,17 +426,25 @@ class _VecCodegen:
             self.sites.append(Site(index, tuple(parts), stmt.dist.name))
             handler = self.handler(stmt.dist.name)
             args = self.dist_args(stmt.dist, mask)
-            val, lp = self.fresh_tmp(), self.fresh_tmp()
+            val, lp, lost = self.fresh_tmp(), self.fresh_tmp(), self.fresh_tmp()
             base = f"_bv[{index}], _bp[{index}]" if not particle else "None, None"
             self.emit(
-                f"{val}, {lp} = _site_sample({handler}, {args}, _gen, "
+                f"{val}, {lp}, {lost} = _site_sample({handler}, {args}, _gen, "
                 f"{mask}, {base}, _B)"
             )
             self.emit(f"_tv[{index}] = {val}")
             self.emit(f"_tl[{index}] = {lp}")
             self.emit(f"_tp[{index}] = {mask}")
             self.assign(stmt.name, val, mask)
-            return False
+            if particle:
+                return False
+            # A replayed value that lost its support blocks its lane.
+            self.emit(f"if {lost} is not None:")
+            self.emit(f"    _ll = np.where({lost}, NEG_INF, _ll)")
+            self.emit(f"    _alive = _alive & ~{lost}")
+            if mask != "_alive":
+                self.emit(f"    {mask} = {mask} & _alive")
+            return True
         if isinstance(stmt, Observe):
             cond = self.fresh_tmp()
             self.emit(f"{cond} = _istrue({self.expr(stmt.cond, mask)})")

@@ -80,8 +80,24 @@ BENCHMARKS = [
 ]
 
 # Minimal counterexamples found (and then fixed) by the differential
-# fuzzer.  Sources are kept literal: they document the failing shape.
+# fuzzer, or written by hand where the generator cannot reach the
+# shape.  Sources are kept literal: they document the failing shape.
 COUNTEREXAMPLES = [
+    (
+        "mh-support-loss.prob",
+        """
+n ~ DiscreteUniform(1, 4);
+k ~ DiscreteUniform(0, n);
+return n;
+""",
+        "hand-written: the generator only gives DiscreteUniform constant "
+        "bounds, so fuzzing cannot reach a support that depends on an "
+        "earlier draw.\n"
+        "When a proposed n left the replayed k without mass, every MH "
+        "path drew k afresh outside the Hastings ratio (interpreter MH, "
+        "seed 1, read mean 2.17 against the exact 2.5).\n"
+        "Fixed by blocking a run whose replayed value lost its support.",
+    ),
     (
         "crash-smc-branch-observe.prob",
         """

@@ -119,12 +119,18 @@ class TestReplay:
         entry = next(iter(r2.trace.values()))
         assert entry.dist_name == "Gaussian"
 
-    def test_out_of_support_value_resampled(self):
-        wide = parse("x ~ DiscreteUniform(0, 9); return x;")
-        narrow = parse("x ~ DiscreteUniform(100, 101); return x;")
+    def test_out_of_support_value_blocks_the_run(self):
+        # A replayed value with no mass under the site's parameters
+        # leaves a zero-density state: the run is blocked, with no
+        # fresh draw (MH's Hastings ratio would not count one).
+        wide = parse("x ~ DiscreteUniform(0, 9); y ~ Bernoulli(0.5); return x;")
+        narrow = parse("x ~ DiscreteUniform(100, 101); y ~ Bernoulli(0.5); return x;")
         r1 = run_program(wide, random.Random(0))
-        r2 = run_program(narrow, random.Random(1), base_trace=r1.trace)
-        assert r2.value in (100, 101)
+        rng = random.Random(1)
+        r2 = run_program(narrow, rng, base_trace=r1.trace)
+        assert r2.blocked and r2.value is None
+        assert r2.statements_executed == 1
+        assert rng.random() == random.Random(1).random()
 
 
 class TestPenaltyMode:
