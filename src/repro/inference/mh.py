@@ -40,7 +40,7 @@ import copy
 import math
 import random
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core.ast import Program
 from ..obs.recorder import current_recorder
@@ -114,10 +114,10 @@ class MetropolisHastings(Engine):
         #: :func:`~repro.inference.base.split_evenly` share of the total.
         self.batch_chains = batch_chains
         self._deadline: Optional[float] = None
-        #: The compiled program and its cone plan while an ``infer``
-        #: call takes the incremental path, else None (also between
-        #: calls, so an engine keeps no plan alive).
-        self._cones: Optional[Tuple[object, ConePlan]] = None
+        #: The cone plan while an ``infer`` call takes the incremental
+        #: path, else None (also between calls, so an engine keeps no
+        #: plan alive).
+        self._plan: Optional[ConePlan] = None
 
     def shard(self, n_shards: int, seeds: Sequence[int]) -> List["Engine"]:
         """Independent chains: each shard runs a full burn-in plus its
@@ -134,19 +134,16 @@ class MetropolisHastings(Engine):
             shard.n_samples = size
             shard.seed = seed
             shard._deadline = None
-            shard._cones = None
+            shard._plan = None
             shards.append(shard)
         return shards
 
     # -- hooks the Church-like engine overrides -------------------------------
 
     def _execute(self, program, rng, base_trace, result: InferenceResult) -> RunResult:
-        if self._cones is not None:
+        if self._plan is not None:
             # A recorded full run: the state cone steps start from.
-            run = self._cones[0].run(
-                rng, base_trace=base_trace, options=self.executor_options,
-                record=True,
-            )
+            run = self._plan.run(rng, base_trace, self.executor_options)
         else:
             run = self._run_program(
                 program, rng, base_trace=base_trace, options=self.executor_options
@@ -154,38 +151,33 @@ class MetropolisHastings(Engine):
         result.statements_executed += run.statements_executed
         return run
 
-    def _incremental(self, program: Program) -> Optional[Tuple[object, ConePlan]]:
-        """The compiled program and cone plan single-site moves take in
-        this ``infer`` call, or None; counts which, once per call."""
+    def _incremental(self, program: Program) -> Optional[ConePlan]:
+        """The cone plan single-site moves take in this ``infer`` call,
+        or None; counts which, once per call."""
         recorder = current_recorder()
         if not self.compiled:
             reason = INTERPRETER
         else:
             from ..semantics.compiled import compile_program
 
-            compiled = compile_program(program)
             try:
-                plan = compiled.cone_plan()
+                plan = compile_program(program).cone_plan()
             except NotIncremental as exc:
                 reason = exc.reason
             else:
                 recorder.counter("mh.incremental.used")
-                return compiled, plan
+                return plan
         recorder.counter(f"mh.incremental.fallback.{reason}")
         return None
 
     def _step(
         self, rng: random.Random, current: RunResult, site: int, value,
         result: InferenceResult,
-    ) -> Optional[RunResult]:
-        """Move one site along the cone plan; None when blocked."""
-        assert self._cones is not None
-        proposal = self._cones[1].step(
-            site, rng, current, value, self.executor_options.observe_penalty
-        )
+    ) -> RunResult:
+        """Move one site along the cone plan."""
+        assert self._plan is not None
+        proposal = self._plan.step(site, rng, current, value, self.executor_options)
         result.statements_executed += proposal.statements_executed
-        if proposal.blocked:
-            return None
         return proposal
 
     def _propose(
@@ -207,19 +199,18 @@ class MetropolisHastings(Engine):
         """
         if rng.random() < self.global_move_prob:
             return self._propose_global(program, rng, current, result)
-        if self._cones is not None:
+        if self._plan is not None:
             # Static site set: the sites are the plan's, in trace order,
             # and the new/dropped-site loops below would add nothing.
-            sites = self._cones[1].addrs
+            sites = self._plan.addrs
             if not sites:
                 return None
             site = rng.randrange(len(sites))
             addr = sites[site]
             proposal = self._step(rng, current, site, None, result)
-            if proposal is None or proposal.log_joint == NEG_INF:
+            if proposal.log_joint == NEG_INF:
                 return None
-            forward = 0.0
-            forward += proposal.trace[addr].log_prior
+            forward = proposal.trace[addr].log_prior
             reverse = current.trace[addr].log_prior
             m_new = len(sites)
         else:
@@ -390,10 +381,8 @@ class MetropolisHastings(Engine):
         entry = current.trace[addr]
         scale = 0.25 * (abs(entry.value) + 1.0)
         value = entry.value + rng.gauss(0.0, scale)
-        if self._cones is not None:
-            proposal = self._step(
-                rng, current, self._cones[1].index[addr], value, result
-            )
+        if self._plan is not None:
+            proposal = self._step(rng, current, self._plan.index[addr], value, result)
         else:
             base = dict(current.trace)
             base[addr] = TraceEntry(value, 0.0, entry.dist_name)
@@ -401,7 +390,7 @@ class MetropolisHastings(Engine):
                 proposal = self._execute(program, rng, base, result)
             except NonTerminatingRun:
                 return None
-        if proposal is None or proposal.blocked or proposal.log_joint == NEG_INF:
+        if proposal.blocked or proposal.log_joint == NEG_INF:
             return None
         log_alpha = proposal.log_joint - current.log_joint
         if log_alpha >= 0.0 or math.log(rng.random()) < log_alpha:
@@ -417,13 +406,13 @@ class MetropolisHastings(Engine):
 
     def infer(self, program: Program) -> InferenceResult:
         vectorized = self._vectorize(program)
-        self._cones = self._incremental(program)
+        self._plan = self._incremental(program)
         try:
             if vectorized is not None:
                 return self._infer_numpy(program, vectorized)
             return self._infer_scalar(program)
         finally:
-            self._cones = None
+            self._plan = None
 
     def _infer_scalar(self, program: Program) -> InferenceResult:
         rng = random.Random(self.seed)

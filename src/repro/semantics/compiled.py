@@ -29,11 +29,10 @@ A generator variant (:class:`CompiledRun`) yields at conditioning
 barriers with the same protocol as the SMC interpreter's ``_Run``, so
 particles can run compiled too.
 
-For a straight-line program, ``CompiledProgram.run(..., record=True)``
-also returns the end state and every likelihood term
-(:class:`RecordedRun`): the state the incremental MH plan
-(:mod:`repro.semantics.incremental`, built lazily by
-:meth:`CompiledProgram.cone_plan`) steps from.
+For a straight-line program, the run function can also return the
+end state and every likelihood term (:class:`RecordedRun`): the state
+the incremental MH plan (:mod:`repro.semantics.incremental`, built
+lazily by :meth:`CompiledProgram.cone_plan`) steps from.
 
 The only deliberate divergence: reads of never-assigned variables and
 ``Decl`` with an unknown type raise :class:`EvalError` at compile time
@@ -193,7 +192,7 @@ class RecordedRun(RunResult):
         super().__init__(value, log_likelihood, trace, statements_executed, violations)
         self.env = env
         self.terms = terms
-        self._log_joint = RunResult.log_joint.fget(self)  # type: ignore[attr-defined]
+        self._log_joint = super().log_joint
 
     @property
     def log_joint(self) -> float:
@@ -510,29 +509,9 @@ class CompiledProgram:
         rng: random.Random,
         base_trace: Optional[Trace] = None,
         options: ExecutorOptions = ExecutorOptions(),
-        record: bool = False,
     ) -> RunResult:
-        """Execute once; same contract as :func:`run_program`.  With
-        ``record``, a straight-line program's unblocked run comes back
-        as a :class:`RecordedRun`."""
-        trace: Trace = {}
-        rec: Optional[list] = [] if record else None
-        try:
-            value, ll, statements, violations = self._run(
-                rng,
-                base_trace or {},
-                trace,
-                options.observe_penalty,
-                options.max_loop_iterations,
-                rec,
-            )
-        except NameError as exc:
-            raise _undefined(exc) from None
-        if value is _BLOCKED:
-            value = None
-        if rec:
-            return RecordedRun(value, ll, trace, statements, violations, *rec)
-        return RunResult(value, ll, trace, statements, violations)
+        """Execute once; same contract as :func:`run_program`."""
+        return call_run(self._run, rng, base_trace, options, record=False)
 
     def cone_plan(self):
         """The incremental MH plan
@@ -544,7 +523,7 @@ class CompiledProgram:
 
         if self._plan is None:
             try:
-                self._plan = ConePlan(self.program)
+                self._plan = ConePlan(self.program, self._run)
             except NotIncremental as exc:
                 self._plan = exc.reason
         if isinstance(self._plan, str):
@@ -552,11 +531,37 @@ class CompiledProgram:
         return self._plan
 
 
-def _undefined(exc: NameError) -> EvalError:
-    """A read of a never-assigned variable, as the interpreter reports
-    it."""
-    name = getattr(exc, "name", "") or ""
-    return EvalError(f"variable {name.removeprefix('_v_')!r} is not defined")
+def call_run(
+    run,
+    rng: random.Random,
+    base_trace: Optional[Trace],
+    options: ExecutorOptions,
+    record: bool,
+) -> RunResult:
+    """Call a generated ``_compiled_run`` and wrap its result; with
+    ``record``, a straight-line program's unblocked run comes back as a
+    :class:`RecordedRun`."""
+    trace: Trace = {}
+    rec: Optional[list] = [] if record else None
+    try:
+        value, ll, statements, violations = run(
+            rng,
+            base_trace or {},
+            trace,
+            options.observe_penalty,
+            options.max_loop_iterations,
+            rec,
+        )
+    except NameError as exc:  # read of a never-assigned variable
+        name = getattr(exc, "name", "") or ""
+        raise EvalError(
+            f"variable {name.removeprefix('_v_')!r} is not defined"
+        ) from None
+    if value is _BLOCKED:
+        value = None
+    if rec:
+        return RecordedRun(value, ll, trace, statements, violations, *rec)
+    return RunResult(value, ll, trace, statements, violations)
 
 
 class CompiledRun:

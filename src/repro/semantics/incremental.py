@@ -39,7 +39,10 @@ with the cone's entries replaced in place, so the key order and the
 :func:`~repro.semantics.trace.total_log_prior` sum are the full run's.
 It blocks where the full run blocks: on a failed hard observe (strict
 mode), a ``-inf`` observe score, a replayed value that lost its
-support, or a ``factor`` that takes the running sum to ``-inf``.
+support, or a ``factor`` that takes the running sum to ``-inf``.  The
+fold finds that last case only after the cone's last statement, so
+when a cone statement raises, the step hands the moved trace to the
+full run, which either blocks first or raises alike.
 
 **Lifetime.** :meth:`CompiledProgram.cone_plan` builds the plan on
 first use and keeps it on the compilation, never in its pickle, so
@@ -60,11 +63,12 @@ from .compiled import (
     _Codegen,
     _const_src,
     _namespace,
-    _undefined,
+    call_run,
     env_names,
     straight_line,
 )
-from .executor import RunResult
+from .executor import ExecutorOptions, RunResult
+from .trace import Trace
 from .values import default_value
 
 __all__ = [
@@ -102,9 +106,11 @@ class ConePlan:
 
     ``addrs`` lists the sample sites in program order, which is every
     trace's key order; ``index`` maps an address back to its position.
+    ``run`` is the program's generated run function, behind
+    :meth:`run`.
     """
 
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program, run) -> None:
         lowered = lower(program)
         leaves = straight_line(lowered)
         if leaves is None:
@@ -117,6 +123,17 @@ class ConePlan:
         self._cones = [namespace[f"_cone{i}"] for i in range(len(self.addrs))]
         self._fold = namespace["_fold"]
         self._fold_pen = namespace["_fold_pen"]
+        self._run = run
+
+    def run(
+        self,
+        rng: random.Random,
+        base_trace: Optional[Trace],
+        options: ExecutorOptions,
+    ) -> RunResult:
+        """A full run of the program, recorded: the state that steps
+        start from (when not blocked)."""
+        return call_run(self._run, rng, base_trace, options, record=True)
 
     def step(
         self,
@@ -124,19 +141,29 @@ class ConePlan:
         rng: random.Random,
         current: RecordedRun,
         value: object,
-        penalty: Optional[float],
+        options: ExecutorOptions,
     ) -> RunResult:
         """Move site ``site`` of ``current``: draw it afresh when
         ``value`` is None, else replay ``value``.  Returns the new
         state or a blocked run; ``statements_executed`` counts the
         statements the step ran."""
+        addr = self.addrs[site]
+        trace = current.trace.copy()
+        penalty = options.observe_penalty
         try:
-            value, env, terms, trace, n = self._cones[site](
-                rng, value, current.env, current.terms, current.trace,
-                penalty, current.value,
+            value, env, terms, n = self._cones[site](
+                rng, value, current.env, current.terms, trace, penalty,
+                current.value,
             )
-        except NameError as exc:
-            raise _undefined(exc) from None
+        except Exception:
+            if trace[addr] is current.trace[addr]:
+                raise  # before the draw: the full run raises alike
+            # The cone checks a factor's running sum only in the fold,
+            # after its last statement, but the full run stops at a
+            # factor that takes the sum to -inf, before any later
+            # statement can raise.  Let the full run decide: it replays
+            # every site from ``trace``, so it draws nothing.
+            return self.run(rng, trace, options)
         if value is _BLOCKED:
             return RunResult(None, NEG_INF, {}, n)
         if penalty is None:
@@ -210,7 +237,7 @@ class _ConeCodegen(_Codegen):
             for v, d in self.ret_reach.items():
                 if d not in changed:
                     loads[d] = f"_E[{self.slot[v]}]"
-        self.emit(f"def _cone{i}(_rng, _x, _E, _T, _TR, _pen, _val):", 0)
+        self.emit(f"def _cone{i}(_rng, _x, _E, _T, _tr, _pen, _val):", 0)
         for d in sorted(loads):
             self.emit(f"_s{d} = {loads[d]}", 1)
         count = 0
@@ -234,7 +261,7 @@ class _ConeCodegen(_Codegen):
         else:
             value = "_val"
         self.names = {}
-        self.emit(f"return {value}, _E, _T, _tr, {count}", 1)
+        self.emit(f"return {value}, _E, _T, {count}", 1)
         self.emit("", 0)
 
     def resolve(
@@ -249,7 +276,7 @@ class _ConeCodegen(_Codegen):
             if self.last[v] == d:
                 loads[d] = f"_E[{self.slot[v]}]"
             elif isinstance(stmt, Sample):
-                loads[d] = f"_TR[{addr!r}].value"
+                loads[d] = f"_tr[{addr!r}].value"
             elif isinstance(stmt, Decl):
                 loads[d] = _const_src(default_value(stmt.type))
             else:
@@ -258,7 +285,7 @@ class _ConeCodegen(_Codegen):
 
     def statement(self, j: int, moved: int, count: int) -> None:
         stmt, addr = self.leaves[j]
-        blocked = f"return _BLOCKED, None, None, None, {count}"
+        blocked = f"return _BLOCKED, None, None, {count}"
         if j == moved:
             self.emit(f"_d = {self.dist(stmt.dist)}", 1)
             self.emit("if _x is None:", 1)
@@ -269,14 +296,13 @@ class _ConeCodegen(_Codegen):
             self.emit("if _lp == NEG_INF:", 2)
             self.emit(blocked, 3)
             self.emit(f"_s{j} = _x", 1)
-            self.emit("_tr = _TR.copy()", 1)
             self.emit(f"_tr[{addr!r}] = TraceEntry(_x, _lp, {stmt.dist.name!r})", 1)
         elif isinstance(stmt, Assign):
             self.emit(f"_s{j} = {self.expr(stmt.expr)}", 1)
         elif isinstance(stmt, Sample):
             # Replayed: same value, re-scored under the new parameters.
             self.emit(f"_d = {self.dist(stmt.dist)}", 1)
-            self.emit(f"_e = _TR[{addr!r}].value", 1)
+            self.emit(f"_e = _tr[{addr!r}].value", 1)
             self.emit("_lp = _d.log_prob(_e)", 1)
             self.emit("if _lp == NEG_INF:", 1)
             self.emit(blocked, 2)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.parser import parse
+from repro.dists import DistributionError
 from repro.inference import MetropolisHastings
 from repro.inference.tracemh import ChurchTraceMH
 from repro.models.registry import TABLE1
@@ -56,16 +57,63 @@ def _counters(engine, program):
     }
 
 
-def assert_lockstep(program, **kwargs):
+def assert_lockstep(program, errors_alike=False, **kwargs):
     """Closure MH (incremental where the program allows) against the
-    interpreter's full re-run, same seed."""
-    full = MetropolisHastings(compiled=False, **kwargs).infer(program)
+    interpreter's full re-run, same seed.  With ``errors_alike``, a
+    full re-run that raises must be matched by a closure run raising
+    the same type."""
+    try:
+        full = MetropolisHastings(compiled=False, **kwargs).infer(program)
+    except Exception as exc:
+        if not errors_alike:
+            raise
+        with pytest.raises(type(exc)):
+            MetropolisHastings(compiled=True, **kwargs).infer(program)
+        return None, None
     cone = MetropolisHastings(compiled=True, **kwargs).infer(program)
     assert cone.samples == full.samples
     assert cone.weights == full.weights
     assert cone.n_proposals == full.n_proposals
     assert cone.n_accepted == full.n_accepted
     return full, cone
+
+
+def _continuous_program(rng):
+    """A random straight-line program over real variables: scales and
+    supports that depend on earlier draws, reassignments, factors that
+    may overflow to -inf, soft and hard observes."""
+    defined, lines = [], []
+
+    def expr():
+        if not defined or rng.random() < 0.2:
+            return f"{rng.uniform(-2, 2):.3f}"
+        other = rng.choice(defined) if rng.random() < 0.5 else f"{rng.uniform(-2, 2):.3f}"
+        return f"{rng.choice(defined)} {rng.choice('+-*')} {other}"
+
+    for _ in range(rng.randint(3, 14)):
+        kind = rng.random() if defined else 0.0
+        var = f"x{rng.randint(0, 5)}"
+        if kind < 0.35:
+            dist = rng.randrange(3)
+            if dist == 0:
+                lines.append(f"{var} ~ Gaussian({expr()}, {rng.uniform(0.5, 3):.3f});")
+            elif dist == 1:
+                lines.append(f"{var} ~ Uniform(0.0 - 3.0, {expr()});")
+            else:
+                lines.append(f"{var} ~ Gaussian(0.0, 1.0 + {expr()} * {expr()});")
+            defined.append(var)
+        elif kind < 0.55:
+            lines.append(f"{var} = {expr()};")
+            defined.append(var)
+        elif kind < 0.7:
+            scale = f"({expr()})" if rng.random() < 0.6 else "1e308 * 10.0"
+            lines.append(f"factor(0.0 - ({expr()}) * {scale});")
+        elif kind < 0.85:
+            lines.append(f"observe(Gaussian({expr()}, 1.0), {rng.uniform(-2, 2):.3f});")
+        else:
+            lines.append(f"observe({expr()} > {rng.uniform(-3, 1):.3f});")
+    lines.append(f"return {rng.choice(defined)};")
+    return parse("\n".join(lines))
 
 
 class TestLockstep:
@@ -87,28 +135,16 @@ class TestLockstep:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_straight_line_random_programs(self, program):
-        try:
-            assert_lockstep(program, n_samples=60, burn_in=10, seed=5,
-                            max_init_attempts=50, anneal_rounds=3)
-        except Exception as exc:  # both paths must fail alike
-            with pytest.raises(type(exc)):
-                MetropolisHastings(
-                    n_samples=60, burn_in=10, seed=5, compiled=True,
-                    max_init_attempts=50, anneal_rounds=3,
-                ).infer(program)
+        assert_lockstep(program, errors_alike=True, n_samples=60, burn_in=10,
+                        seed=5, max_init_attempts=50, anneal_rounds=3)
 
     @given(programs())
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_programs(self, program):
-        kwargs = dict(n_samples=40, burn_in=10, seed=6, max_init_attempts=50,
-                      anneal_rounds=3,
-                      executor_options=ExecutorOptions(max_loop_iterations=200))
-        try:
-            assert_lockstep(program, **kwargs)
-        except Exception as exc:
-            with pytest.raises(type(exc)):
-                MetropolisHastings(compiled=True, **kwargs).infer(program)
+        assert_lockstep(program, errors_alike=True, n_samples=40, burn_in=10,
+                        seed=6, max_init_attempts=50, anneal_rounds=3,
+                        executor_options=ExecutorOptions(max_loop_iterations=200))
 
     def test_annealing_on_chess(self):
         # No prior draw is tried, so the chain starts from annealed
@@ -141,16 +177,35 @@ return x;
             opts = ExecutorOptions(observe_penalty=penalty)
             for seed in range(25):
                 rng = random.Random(seed)
-                state = compiled.run(rng, options=opts, record=True)
+                state = plan.run(rng, None, opts)
                 if state.blocked:
                     continue
                 for site, addr in enumerate(plan.addrs):
                     for value in (None, state.trace[addr].value + rng.gauss(0, 1)):
                         self._same_step(compiled, plan, state, site, addr,
                                         value, opts, seed)
-        full, cone = assert_lockstep(
-            program, n_samples=100, burn_in=20, seed=4, max_init_attempts=1
-        )
+        assert_lockstep(program, n_samples=100, burn_in=20, seed=4,
+                        max_init_attempts=1)
+
+    def test_random_continuous_programs_step_by_step(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            program = _continuous_program(rng)
+            compiled = compile_program(program)
+            plan = compiled.cone_plan()
+            for penalty in (None, 1.5):
+                opts = ExecutorOptions(observe_penalty=penalty)
+                for _ in range(10):
+                    try:
+                        state = plan.run(rng, None, opts)
+                    except DistributionError:
+                        break
+                    if state.blocked:
+                        continue
+                    for site, addr in enumerate(plan.addrs):
+                        for value in (None, state.trace[addr].value + rng.gauss(0, 2)):
+                            self._same_step(compiled, plan, state, site, addr,
+                                            value, opts, seed)
 
     @staticmethod
     def _same_step(compiled, plan, state, site, addr, value, opts, seed):
@@ -160,21 +215,26 @@ return x;
         else:
             base[addr] = TraceEntry(value, 0.0, state.trace[addr].dist_name)
         r1, r2 = random.Random(seed), random.Random(seed)
-        full = compiled.run(r1, base_trace=base, options=opts)
-        step = plan.step(site, r2, state, value, opts.observe_penalty)
+        try:
+            full = compiled.run(r1, base_trace=base, options=opts)
+        except DistributionError:
+            with pytest.raises(DistributionError):
+                plan.step(site, r2, state, value, opts)
+            return
+        step = plan.step(site, r2, state, value, opts)
         assert step.blocked == full.blocked
         assert r1.random() == r2.random()
         if not full.blocked:
-            assert step.value == full.value
-            assert step.log_likelihood == full.log_likelihood
-            assert step.log_joint == full.log_joint
+            # ``repr``: the same bits, NaN and the sign of zero included.
+            assert repr(step.value) == repr(full.value)
+            assert repr(step.log_likelihood) == repr(full.log_likelihood)
+            assert repr(step.log_joint) == repr(full.log_joint)
             assert step.violations == full.violations
-            assert list(step.trace.items()) == list(full.trace.items())
+            assert repr(list(step.trace.items())) == repr(list(full.trace.items()))
 
     def test_reassigned_variables(self):
         # The cone reads a value overwritten later in the program: its
-        # support statement re-runs, and a read with no definition
-        # stays an error exactly where the full run raises.
+        # support statement re-runs.
         program = parse(
             """
 a ~ Gaussian(0.0, 1.0);
@@ -189,6 +249,21 @@ return d + b;
         )
         full, cone = assert_lockstep(program, n_samples=300, burn_in=30, seed=8)
         assert cone.statements_executed < full.statements_executed
+
+    def test_factor_blocks_before_a_later_error(self):
+        # A move to n = 1 takes the factor to -inf, where the full run
+        # stops; the cone goes on to the replayed k, whose bounds are
+        # then invalid, and must not raise where the full run blocks.
+        program = parse(
+            """
+n ~ DiscreteUniform(0, 1);
+factor(0.0 - n * 1e308 * 10.0);
+k ~ DiscreteUniform(0, 1 - 2 * n);
+return k;
+"""
+        )
+        full, _ = assert_lockstep(program, n_samples=200, burn_in=10, seed=1)
+        assert full.n_accepted < full.n_proposals
 
 
 class TestFastPath:
@@ -214,14 +289,14 @@ class TestFastPath:
         for slicer in ("svf", "ab"):
             sliced = sli(program, slicer=slicer).sliced
             compile_program(sliced).cone_plan()  # raises if outside the fragment
-            result, counters = _counters(
+            _, counters = _counters(
                 MetropolisHastings(n_samples=10, burn_in=0, seed=1,
                                    compiled=True, global_move_prob=0.0),
                 sliced,
             )
             assert counters == {"mh.incremental.used": 1}
 
-    def test_fallback_reasons(self, ex2):
+    def test_fallback_reasons(self):
         ex3 = next(s for s in TABLE1 if s.name == "Ex3").bench()
         with pytest.raises(NotIncremental) as info:
             compile_program(ex3).cone_plan()
@@ -288,4 +363,4 @@ class TestPlanLifetime:
         stale = compiled_module.CompiledProgram.__new__(compiled_module.CompiledProgram)
         stale.__setstate__(state)
         assert stale.source == compile_program(program).source
-        assert stale.run(random.Random(0), record=True).env
+        assert stale.cone_plan().run(random.Random(0), None, ExecutorOptions()).env
