@@ -180,8 +180,8 @@ class _ConeCodegen(_Codegen):
 
     Inside a cone function each definition at statement ``j`` is the
     local ``_s<j>``, so a read always names its reaching definition;
-    a read with none stays ``_v_<name>``, unbound, and raises where the
-    full run raises.
+    a read with none stays ``_v_<name>``, unbound, as in the run
+    function, which then fails on every run, the first one included.
     """
 
     def __init__(self, lowered, leaves) -> None:
