@@ -10,7 +10,7 @@ and on the interpreter each proposal re-executes the whole program
 
 Proposal: pick a site uniformly, resample it from its prior (under the
 current upstream parameters), re-execute reusing the rest of the
-trace.  A replayed value that has no mass under its new parameters
+trace.  A replayed value that lost its mass under its new parameters
 blocks the run, so the proposal is rejected.  Acceptance
 (fresh/stale prior terms included)::
 

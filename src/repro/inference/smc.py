@@ -8,10 +8,15 @@ systematically.  This is the standard PPL SMC construction (Wood et
 al., 2014) and handles constraint-heavy programs (TrueSkill chains)
 that plain rejection cannot initialize.
 
+A particle is a :class:`~repro.semantics.executor.ParticleRun` over
+the interpreter's particle shape
+(:func:`~repro.semantics.executor.interpreted_particle`) or the
+closure backend's generated one; both consume the RNG identically.
+
 Cloning a live Python generator is impossible, so resampled particles
 are *replayed*: each particle records its random choices (a trace),
-and a clone re-executes the program reusing that trace — deterministic
-up to the pause point — before continuing fresh.
+and a clone re-executes the program reusing that trace — a copy of
+its source up to the pause point — before continuing fresh.
 """
 
 from __future__ import annotations
@@ -20,26 +25,11 @@ import copy
 import math
 import random
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..core.ast import (
-    Assign,
-    Block,
-    Decl,
-    Factor,
-    If,
-    Observe,
-    ObserveSample,
-    Program,
-    Sample,
-    Skip,
-    Stmt,
-    While,
-)
-from ..dists import make_distribution
-from ..semantics.executor import NonTerminatingRun
-from ..semantics.trace import Address, Trace, TraceEntry
-from ..semantics.values import State, Value, default_value, eval_dist_args, eval_expr
+from ..core.ast import Program
+from ..semantics.executor import NonTerminatingRun, ParticleRun, interpreted_particle
+from ..semantics.trace import Trace
 from .base import Engine, InferenceError, InferenceResult
 
 __all__ = ["SMCSampler"]
@@ -47,112 +37,10 @@ __all__ = ["SMCSampler"]
 NEG_INF = float("-inf")
 
 
-class _NonTerminating(Exception):
-    pass
-
-
-class _Run:
-    """One particle's execution context."""
-
-    def __init__(
-        self,
-        program: Program,
-        rng: random.Random,
-        base_trace: Optional[Trace],
-        max_loop_iterations: int,
-    ) -> None:
-        self.state: State = {}
-        self.trace: Trace = {}
-        self.statements = 0
-        self.value: Optional[Value] = None
-        self._program = program
-        self._rng = rng
-        self._base = base_trace or {}
-        self._max_loop = max_loop_iterations
-        self._gen = self._run()
-
-    def advance(self) -> Optional[float]:
-        """Run to the next conditioning point; returns its log-weight
-        increment, or None when the program finished."""
-        try:
-            return next(self._gen)
-        except StopIteration:
-            return None
-
-    # -- interpreter -----------------------------------------------------------
-
-    def _run(self) -> Iterator[float]:
-        yield from self._exec(self._program.body, ())
-        self.value = eval_expr(self._program.ret, self.state)
-
-    def _exec(self, stmt: Stmt, address: Address) -> Iterator[float]:
-        if isinstance(stmt, Skip):
-            return
-        if isinstance(stmt, Block):
-            for i, s in enumerate(stmt.stmts):
-                yield from self._exec(s, address + (i,))
-            return
-        self.statements += 1
-        if isinstance(stmt, Decl):
-            self.state[stmt.name] = default_value(stmt.type)
-            return
-        if isinstance(stmt, Assign):
-            self.state[stmt.name] = eval_expr(stmt.expr, self.state)
-            return
-        if isinstance(stmt, Sample):
-            dist = make_distribution(
-                stmt.dist.name, eval_dist_args(stmt.dist, self.state)
-            )
-            entry = self._base.get(address)
-            if entry is not None and entry.dist_name == stmt.dist.name:
-                lp = dist.log_prob(entry.value)
-                if lp != NEG_INF:
-                    self.trace[address] = TraceEntry(
-                        entry.value, lp, stmt.dist.name
-                    )
-                    self.state[stmt.name] = entry.value
-                    return
-            value = dist.sample(self._rng)
-            self.trace[address] = TraceEntry(
-                value, dist.log_prob(value), stmt.dist.name
-            )
-            self.state[stmt.name] = value
-            return
-        if isinstance(stmt, Observe):
-            ok = eval_expr(stmt.cond, self.state) is True
-            yield 0.0 if ok else NEG_INF
-            return
-        if isinstance(stmt, ObserveSample):
-            dist = make_distribution(
-                stmt.dist.name, eval_dist_args(stmt.dist, self.state)
-            )
-            yield dist.log_prob(eval_expr(stmt.value, self.state))
-            return
-        if isinstance(stmt, Factor):
-            yield float(eval_expr(stmt.log_weight, self.state))
-            return
-        if isinstance(stmt, If):
-            if eval_expr(stmt.cond, self.state) is True:
-                yield from self._exec(stmt.then_branch, address + ("T",))
-            else:
-                yield from self._exec(stmt.else_branch, address + ("E",))
-            return
-        if isinstance(stmt, While):
-            iteration = 0
-            while eval_expr(stmt.cond, self.state) is True:
-                if iteration >= self._max_loop:
-                    raise _NonTerminating()
-                yield from self._exec(stmt.body, address + ("W", iteration))
-                iteration += 1
-                self.statements += 1
-            return
-        raise TypeError(f"not a statement: {stmt!r}")
-
-
 class _Particle:
     __slots__ = ("run", "log_weight", "barriers", "alive", "finished", "lineage")
 
-    def __init__(self, run: _Run, lineage: int = 0) -> None:
+    def __init__(self, run: ParticleRun, lineage: int = 0) -> None:
         self.run = run
         self.log_weight = 0.0
         self.barriers = 0
@@ -234,17 +122,16 @@ class SMCSampler(Engine):
         program: Program,
         rng: random.Random,
         base_trace: Optional[Trace],
-    ):
-        """A fresh particle execution context, interpreted or compiled.
-        Both speak the same protocol (``advance`` / ``trace`` /
-        ``statements`` / ``value``) and consume the RNG identically."""
+    ) -> ParticleRun:
+        """A fresh particle over the interpreter's or the closure
+        backend's particle generator."""
         if self.compiled:
-            from ..semantics.compiled import CompiledRun, compile_program
+            from ..semantics.compiled import compile_program
 
-            return CompiledRun(
-                compile_program(program), rng, base_trace, self.max_loop_iterations
-            )
-        return _Run(program, rng, base_trace, self.max_loop_iterations)
+            particle = compile_program(program).particle
+        else:
+            particle = interpreted_particle(program)
+        return ParticleRun(particle, rng, base_trace, self.max_loop_iterations)
 
     def infer(self, program: Program) -> InferenceResult:
         from ..obs.recorder import current_recorder
@@ -284,7 +171,7 @@ class SMCSampler(Engine):
             for p in running:
                 try:
                     delta = p.run.advance()
-                except (_NonTerminating, NonTerminatingRun):
+                except NonTerminatingRun:
                     p.alive = False
                     continue
                 result.statements_executed += p.run.statements

@@ -25,9 +25,11 @@ parameters are constructed once at compile time instead of once per
 visit.  The benchmark's ``warm-sample`` workload (``perfbench/``)
 measures the closure backend under MH and SMC on the Table 1 models.
 
-A generator variant (:class:`CompiledRun`) yields at conditioning
-barriers with the same protocol as the SMC interpreter's ``_Run``, so
-particles can run compiled too.
+A generator variant (``CompiledProgram.particle``) yields at
+conditioning barriers, as the interpreter's
+:func:`~repro.semantics.executor.interpreted_particle` does, so SMC
+particles run compiled too: one
+:class:`~repro.semantics.executor.ParticleRun` drives either.
 
 For a straight-line program, the run function can also return the
 end state and every likelihood term (:class:`RecordedRun`): the state
@@ -71,7 +73,6 @@ from .values import EvalError, _as_bool, default_value
 __all__ = [
     "CompilationError",
     "CompiledProgram",
-    "CompiledRun",
     "RecordedRun",
     "compile_program",
     "clear_compile_cache",
@@ -100,13 +101,14 @@ class _Blocked(Exception):
 def _smp(dist, name, addr, base, trace, rng):
     """Sample-site runtime helper: replay from ``base`` when the address
     holds a compatible entry, else draw fresh.  Mirrors
-    ``_Executor._exec_sample`` exactly (including re-scoring replayed
+    ``_Executor._sample`` exactly (including re-scoring replayed
     values under the current parameters, and blocking the run when a
-    replayed value lost its support)."""
+    replayed value lost its support; a value that never had mass
+    replays as recorded)."""
     entry = base.get(addr)
     if entry is not None and entry.dist_name == name:
         lp = dist.log_prob(entry.value)
-        if lp == NEG_INF:
+        if lp == NEG_INF and entry.log_prior != NEG_INF:
             raise _Blocked
         trace[addr] = TraceEntry(entry.value, lp, name)
         return entry.value
@@ -476,7 +478,9 @@ class CompiledProgram:
         namespace = _namespace(self._hoisted)
         exec(compile(self.source, "<repro.compiled>", "exec"), namespace)
         self._run = namespace["_compiled_run"]
-        self._particle = namespace["_compiled_particle"]
+        #: The SMC particle generator function, for
+        #: :class:`~repro.semantics.executor.ParticleRun`.
+        self.particle = namespace["_compiled_particle"]
 
     # ``exec``-produced functions cannot pickle, but the generated
     # source and the hoisted constant-parameter distributions can —
@@ -562,35 +566,6 @@ def call_run(
     if rec:
         return RecordedRun(value, ll, trace, statements, violations, *rec)
     return RunResult(value, ll, trace, statements, violations)
-
-
-class CompiledRun:
-    """Compiled drop-in for the SMC interpreter's ``_Run``: ``advance``
-    runs to the next conditioning barrier and returns its log-weight
-    increment (``None`` once finished); ``trace`` / ``statements`` /
-    ``value`` follow the same mutable-attribute protocol."""
-
-    __slots__ = ("trace", "statements", "value", "_gen")
-
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        rng: random.Random,
-        base_trace: Optional[Trace],
-        max_loop_iterations: int,
-    ) -> None:
-        self.trace: Trace = {}
-        self.statements = 0
-        self.value = None
-        self._gen = compiled._particle(
-            self, rng, base_trace or {}, self.trace, max_loop_iterations
-        )
-
-    def advance(self) -> Optional[float]:
-        try:
-            return next(self._gen)
-        except StopIteration:
-            return None
 
 
 #: ``id(program) -> (program, compiled)``; strong references keep the

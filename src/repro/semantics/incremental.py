@@ -300,13 +300,14 @@ class _ConeCodegen(_Codegen):
         elif isinstance(stmt, Assign):
             self.emit(f"_s{j} = {self.expr(stmt.expr)}", 1)
         elif isinstance(stmt, Sample):
-            # Replayed: same value, re-scored under the new parameters.
+            # Replayed: same value, re-scored under the new parameters;
+            # blocked only when the value lost its support.
             self.emit(f"_d = {self.dist(stmt.dist)}", 1)
-            self.emit(f"_e = _tr[{addr!r}].value", 1)
-            self.emit("_lp = _d.log_prob(_e)", 1)
-            self.emit("if _lp == NEG_INF:", 1)
+            self.emit(f"_e = _tr[{addr!r}]", 1)
+            self.emit("_lp = _d.log_prob(_e.value)", 1)
+            self.emit("if _lp == NEG_INF and _e.log_prior != NEG_INF:", 1)
             self.emit(blocked, 2)
-            self.emit(f"_tr[{addr!r}] = TraceEntry(_e, _lp, {stmt.dist.name!r})", 1)
+            self.emit(f"_tr[{addr!r}] = TraceEntry(_e.value, _lp, {stmt.dist.name!r})", 1)
         elif isinstance(stmt, Observe):
             term = f"_c{self.term_of[j]}"
             self.emit(f"{term} = {self.expr(stmt.cond)} is True", 1)

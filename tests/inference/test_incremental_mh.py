@@ -265,6 +265,52 @@ return k;
         full, _ = assert_lockstep(program, n_samples=200, burn_in=10, seed=1)
         assert full.n_accepted < full.n_proposals
 
+    def test_replayed_value_without_mass(self):
+        # Gamma(0.001, ...) underflows to 0.0 about half the time, a
+        # value without density.  A cone replays it as the full run
+        # does: as recorded, blocking only a value that lost its mass.
+        program = parse(
+            """
+a ~ Gaussian(0.0, 1.0);
+x ~ Gamma(0.001, a * a + 1.0);
+observe(Gaussian(x, 1.0), 0.5);
+return a;
+"""
+        )
+        compiled = compile_program(program)
+        plan = compiled.cone_plan()
+        massless = 0
+        for penalty in (None, 1.0):
+            opts = ExecutorOptions(observe_penalty=penalty)
+            for seed in range(30):
+                rng = random.Random(seed)
+                state = plan.run(rng, None, opts)
+                massless += state.trace[plan.addrs[1]].log_prior == float("-inf")
+                for site, addr in enumerate(plan.addrs):
+                    for value in (None, state.trace[addr].value + rng.gauss(0, 1)):
+                        self._same_step(compiled, plan, state, site, addr,
+                                        value, opts, seed)
+        assert massless > 0
+
+    def test_global_move_to_a_value_without_mass(self):
+        # A global move weighs only the likelihood, so it can accept a
+        # Gamma(0.001, 1.0) draw that underflowed to 0.0; later single-
+        # site moves replay that value.  When such a replay blocked the
+        # full run, the full run skipped the moved site's draw that the
+        # cone makes, and the two chains parted (seed 1).
+        program = parse(
+            """
+float x, y, z;
+x ~ Gamma(0.001, 1.0);
+y ~ Gaussian(x, 1.0);
+observe(Gaussian(y, 0.01), 2.5);
+z ~ Gaussian(y, 1.0);
+observe(Gaussian(z, 0.01), 2.3);
+return x;
+"""
+        )
+        assert_lockstep(program, n_samples=2000, burn_in=200, seed=1)
+
 
 class TestFastPath:
     @pytest.mark.parametrize("name, variant, program", TABLE)

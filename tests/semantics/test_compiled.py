@@ -10,12 +10,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.parser import parse
+from repro.dists import DistributionError
 from repro.inference.importance import LikelihoodWeighting
 from repro.inference.mh import MetropolisHastings
-from repro.inference.smc import SMCSampler, _Run
+from repro.inference.smc import SMCSampler
 from repro.models.registry import TABLE1
-from repro.semantics.compiled import CompiledRun, compile_program
-from repro.semantics.executor import ExecutorOptions, NonTerminatingRun, run_program
+from repro.semantics.compiled import compile_program
+from repro.semantics.executor import (
+    ExecutorOptions,
+    NonTerminatingRun,
+    ParticleRun,
+    interpreted_particle,
+    run_program,
+)
 from repro.semantics.values import EvalError
 
 from tests.strategies import programs
@@ -143,24 +150,55 @@ return c1 && c2;
         assert compile_program(program) is compile_program(program)
 
 
+def _assert_same_particles(program, seed, base_trace=None):
+    """Drive an interpreter particle and a compiled one in lockstep:
+    at every barrier the same increment, statements and trace; at the
+    end the same value, or the same error at the same barrier."""
+    compiled = compile_program(program)
+    r1, r2 = random.Random(seed), random.Random(seed)
+    interp = ParticleRun(interpreted_particle(program), r1, base_trace, 10_000)
+    comp = ParticleRun(compiled.particle, r2, base_trace, 10_000)
+    while True:
+        try:
+            da = interp.advance()
+        except (EvalError, DistributionError, NonTerminatingRun) as exc:
+            with pytest.raises(type(exc)):
+                comp.advance()
+            return
+        db = comp.advance()
+        # ``repr``: the same bits, NaN and the sign of zero included.
+        assert repr(da) == repr(db)
+        assert interp.statements == comp.statements
+        assert interp.trace == comp.trace
+        interp.statements = comp.statements = 0
+        if da is None:
+            break
+    assert repr(interp.value) == repr(comp.value)
+    assert r1.random() == r2.random()
+
+
 class TestParticleEquivalence:
     @pytest.mark.parametrize(
         "program", [p for _, p in _REGISTRY], ids=[n for n, _ in _REGISTRY]
     )
     def test_barrier_protocol_matches(self, program):
-        compiled = compile_program(program)
-        r1, r2 = random.Random(9), random.Random(9)
-        interp = _Run(program, r1, None, 10_000)
-        comp = CompiledRun(compiled, r2, None, 10_000)
-        while True:
-            da, db = interp.advance(), comp.advance()
-            assert da == db
-            assert interp.statements == comp.statements
-            assert interp.trace == comp.trace
-            interp.statements = comp.statements = 0
-            if da is None:
-                break
-        assert interp.value == comp.value
+        _assert_same_particles(program, seed=9)
+
+    @given(programs())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_barrier_protocol_matches_on_random_programs(self, program):
+        for seed in (0, 31337):
+            _assert_same_particles(program, seed)
+            # A clone: a first run's trace replayed, then fresh draws.
+            try:
+                first = run_program(program, random.Random(seed), options=_OPTS)
+            except (EvalError, DistributionError, NonTerminatingRun):
+                continue
+            _assert_same_particles(program, seed + 1, first.trace)
 
 
 class TestEngineEquivalence:

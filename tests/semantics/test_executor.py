@@ -12,6 +12,7 @@ from repro.semantics.executor import (
     NonTerminatingRun,
     run_program,
 )
+from repro.semantics.compiled import compile_program
 from repro.semantics.exact import exact_inference
 from repro.semantics.trace import TraceEntry, total_log_prior
 
@@ -131,6 +132,24 @@ class TestReplay:
         assert r2.blocked and r2.value is None
         assert r2.statements_executed == 1
         assert rng.random() == random.Random(1).random()
+
+    def test_value_that_never_had_mass_replays_as_recorded(self):
+        # Recorded with log density -inf (a prior draw that underflowed,
+        # say): the value lost nothing, so it replays, on both scalar
+        # backends, and no fresh draw is made.
+        program = parse("x ~ DiscreteUniform(100, 101); return x;")
+        (address,) = run_program(program, random.Random(0)).trace
+        base = {address: TraceEntry(5, float("-inf"), "DiscreteUniform")}
+        for run in (
+            lambda rng: run_program(program, rng, base_trace=base),
+            lambda rng: compile_program(program).run(rng, base_trace=base),
+        ):
+            rng = random.Random(1)
+            r = run(rng)
+            assert not r.blocked and r.value == 5
+            assert r.trace == base
+            assert r.log_joint == float("-inf")
+            assert rng.random() == random.Random(1).random()
 
 
 class TestPenaltyMode:
